@@ -41,7 +41,7 @@ COVER_OBS_MIN ?= 90.0
 BUILD_DIR ?= build
 COVER_OUT ?= $(BUILD_DIR)/cover.out
 
-.PHONY: check build vet test race allocs bench fuzz cover
+.PHONY: check build vet test race allocs bench fuzz cover perfbench-test
 
 check: build vet test race allocs
 
@@ -59,9 +59,12 @@ race:
 
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
 # the router's and the sim kernel's steady-state hot paths at ~zero
-# allocations (DESIGN.md §5c), plus the memo cache's hit path.
+# allocations (DESIGN.md §5c), the memo cache's hit path, and the
+# s-expression readers: al's flat index at zero allocations per atom,
+# exchange at ≤ 20 allocations per net (buffered and streaming) and cd at
+# half the allocations per kB it spent building a value tree.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo
+	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/exchange ./internal/schematic/cd ./internal/al
 
 # Coverage gate (see COVER_MIN / COVER_OBS_MIN above). One merged profile
 # over every package, then the same profile filtered to internal/obs —
@@ -90,6 +93,16 @@ fuzz:
 		echo "fuzz $$pkg"; \
 		$(GO) test -run '^$$' -fuzz 'Fuzz' -fuzztime $(FUZZTIME) -parallel 1 $$pkg || exit 1; \
 	done
+
+# perfbench is a module of its own, so `go test ./...` never builds it.
+# Vet and test it offline against the tree beside it, with the
+# environment perfbench/run.sh sets: an API change in al, exchange or cd
+# that breaks the benchmark fails here, not at the next benchmark run.
+PERFBENCH_ENV = GOPROXY=off GOWORK=off GOFLAGS=
+
+perfbench-test:
+	$(PERFBENCH_ENV) $(GO) -C perfbench vet ./...
+	$(PERFBENCH_ENV) $(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) -run '^$$' $(BENCH_PKGS) | tee bench_out.txt

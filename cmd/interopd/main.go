@@ -75,6 +75,16 @@ func main() {
 	}
 }
 
+// Connection timeouts: a client that never finishes its request headers,
+// or parks an idle keep-alive connection, is disconnected instead of
+// holding a connection and its goroutine forever. They bound connection
+// setup and idle time only; engine time is bounded by request deadlines.
+// Variables rather than constants so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // daemon serves on ln until ctx is canceled (SIGTERM/interrupt in main),
 // then drains: in-flight requests finish, new connections are refused.
 func daemon(ctx context.Context, cfg serve.Config, ln net.Listener, logw io.Writer) error {
@@ -83,7 +93,7 @@ func daemon(ctx context.Context, cfg serve.Config, ln net.Listener, logw io.Writ
 		return err
 	}
 	defer s.Close()
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(logw, "interopd: serving on %s (workers=%d)\n", ln.Addr(), s.Gate().Workers())

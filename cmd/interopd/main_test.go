@@ -157,3 +157,39 @@ func TestClientConnectionRefused(t *testing.T) {
 		t.Errorf("exit %d, want 2 for transport failure", code)
 	}
 }
+
+// TestSlowHeaderClientDisconnected: a client that opens a connection and
+// never finishes its request headers is cut off after the read-header
+// timeout, and the daemon keeps serving other clients.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	addr, cancel, done := startDaemon(t, serve.Config{Workers: 1})
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/flow HTTP/1.1\r\nHost: interopd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, err = conn.Read(make([]byte, 64))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(start))
+	}
+	if err == nil {
+		t.Fatal("server answered a request whose headers never finished")
+	}
+
+	var out, errw bytes.Buffer
+	if code := client(addr, "", "/healthz", "", &out, &errw); code != 0 {
+		t.Fatalf("daemon not serving after the slow client: exit %d %s", code, errw.String())
+	}
+}

@@ -106,10 +106,12 @@ var (
 // ---------------------------------------------------------------------------
 // Reader
 //
-// The reader carries byte offsets on every token and builds an optional
-// position tree mirroring the value tree, so the interchange readers built
-// on top of a/L (exchange, cd) can attach file positions to their
-// diagnostics — "detect, don't silently accept" needs a place to point at.
+// The reader carries byte offsets on every token, so the interchange
+// readers built on top of a/L (exchange, cd) can attach file positions to
+// their diagnostics — "detect, don't silently accept" needs a place to
+// point at. It parses into a flat Index (index.go) that those readers
+// walk directly; Parse and friends materialize values from it, and
+// ParseTracked adds a position tree mirroring the value tree.
 
 // MaxDepth bounds list nesting. Without it a hostile input of open parens
 // drives the recursive-descent reader arbitrarily deep; with it malformed
@@ -150,7 +152,7 @@ type lexer struct {
 	pos int
 	// base offsets every reported position: the stream scanner (stream.go)
 	// lexes window slices of a larger input and needs absolute offsets in
-	// position trees and error messages. Whole-input parsing leaves it 0.
+	// indexed nodes and error messages. Whole-input parsing leaves it 0.
 	base int
 }
 
@@ -183,7 +185,7 @@ func (lx *lexer) next() (tok string, off int, err error) {
 	switch c {
 	case '(', ')', '\'':
 		lx.pos++
-		return string(c), lx.base + start, nil
+		return lx.src[start:lx.pos], lx.base + start, nil
 	case '"':
 		lx.pos++
 		for lx.pos < len(lx.src) {
@@ -211,69 +213,33 @@ func (lx *lexer) next() (tok string, off int, err error) {
 	}
 }
 
-func (lx *lexer) peek() (string, int, error) {
-	save := lx.pos
-	tok, off, err := lx.next()
-	lx.pos = save
-	return tok, off, err
-}
-
 // Parse reads all expressions in src.
 func Parse(src string) ([]Value, error) {
-	vs, _, err := ParseTracked(src)
-	return vs, err
+	var ix Index
+	if err := ix.Parse(src); err != nil {
+		return nil, err
+	}
+	vs, _ := ix.materializeAll(false)
+	return vs, nil
 }
 
 // ParseTracked reads all expressions in src, returning a position tree per
 // expression alongside the values.
 func ParseTracked(src string) ([]Value, []*PosTree, error) {
-	lx := &lexer{src: src}
-	var out []Value
-	var trees []*PosTree
-	for {
-		tok, _, err := lx.peek()
-		if err != nil {
-			return nil, nil, err
-		}
-		if tok == "" {
-			return out, trees, nil
-		}
-		v, pt, err := parseExpr(lx, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, v)
-		trees = append(trees, pt)
+	var ix Index
+	if err := ix.Parse(src); err != nil {
+		return nil, nil, err
 	}
+	vs, trees := ix.materializeAll(true)
+	return vs, trees, nil
 }
 
-// ParseRecover reads all expressions in src with toplevel error recovery:
-// a malformed toplevel form is reported via report (offset, message) and
-// skipped — the reader resynchronizes at the next balanced toplevel
-// position and keeps going. It returns every form that did parse.
+// ParseRecover reads all expressions in src with toplevel error recovery
+// (see Index.ParseRecover), returning every form that did parse.
 func ParseRecover(src string, report func(off int, msg string)) ([]Value, []*PosTree) {
-	lx := &lexer{src: src}
-	var out []Value
-	var trees []*PosTree
-	for {
-		tok, off, err := lx.peek()
-		if err != nil {
-			report(off, err.Error())
-			lx.next() // consume the broken token (advances past the bad lexeme)
-			continue
-		}
-		if tok == "" {
-			return out, trees
-		}
-		v, pt, err := parseExpr(lx, 0)
-		if err != nil {
-			report(off, err.Error())
-			lx.resync()
-			continue
-		}
-		out = append(out, v)
-		trees = append(trees, pt)
-	}
+	var ix Index
+	ix.ParseRecover(src, report)
+	return ix.materializeAll(true)
 }
 
 // resync consumes tokens until the paren depth returns to balance at a
@@ -312,66 +278,6 @@ func ParseOne(src string) (Value, error) {
 		return nil, fmt.Errorf("%w: expected one expression, got %d", ErrParse, len(vs))
 	}
 	return vs[0], nil
-}
-
-func parseExpr(lx *lexer, depth int) (Value, *PosTree, error) {
-	if depth > MaxDepth {
-		return nil, nil, fmt.Errorf("%w: offset %d: nesting deeper than %d", ErrParse, lx.base+lx.pos, MaxDepth)
-	}
-	tok, off, err := lx.next()
-	if err != nil {
-		return nil, nil, err
-	}
-	pt := &PosTree{Off: off}
-	switch {
-	case tok == "":
-		return nil, nil, fmt.Errorf("%w: unexpected end of input", ErrParse)
-	case tok == "(":
-		var items List
-		for {
-			p, _, err := lx.peek()
-			if err != nil {
-				return nil, nil, err
-			}
-			if p == "" {
-				return nil, nil, fmt.Errorf("%w: offset %d: unterminated list", ErrParse, off)
-			}
-			if p == ")" {
-				lx.next()
-				return items, pt, nil
-			}
-			item, kid, err := parseExpr(lx, depth+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			items = append(items, item)
-			pt.Kids = append(pt.Kids, kid)
-		}
-	case tok == ")":
-		return nil, nil, fmt.Errorf("%w: offset %d: unexpected )", ErrParse, off)
-	case tok == "'":
-		q, kid, err := parseExpr(lx, depth+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		pt.Kids = []*PosTree{{Off: off}, kid}
-		return List{Symbol("quote"), q}, pt, nil
-	case tok[0] == '"':
-		s, err := strconv.Unquote(tok)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: offset %d: bad string %s: %v", ErrParse, off, tok, err)
-		}
-		return Str(s), pt, nil
-	case tok == "#t":
-		return Bool(true), pt, nil
-	case tok == "#f":
-		return Bool(false), pt, nil
-	default:
-		if n, err := strconv.ParseFloat(tok, 64); err == nil {
-			return Num(n), pt, nil
-		}
-		return Symbol(tok), pt, nil
-	}
 }
 
 // ---------------------------------------------------------------------------

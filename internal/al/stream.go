@@ -9,12 +9,12 @@ import (
 // materializing the whole input: the interchange readers built on top of
 // it (exchange, cd) pull one record at a time and discard consumed bytes
 // at record boundaries, so peak memory is bounded by one record plus one
-// read chunk regardless of file size. Offsets reported in position trees,
+// read chunk regardless of file size. Offsets reported in indexed nodes,
 // tokens and error messages are absolute within the input, matching what
 // whole-input parsing of the same bytes would report.
 //
 // The scanner is deliberately lower-level than Parse: callers walk the
-// structure themselves (Peek/Next for the enclosing skeleton, ReadForm
+// structure themselves (Peek/Next for the enclosing skeleton, ReadIndexed
 // for small leaf records) and decide where the record boundaries — and
 // therefore the recovery points and memory bounds — lie.
 type Scanner struct {
@@ -157,24 +157,27 @@ func incompleteParse(err error) bool {
 		strings.Contains(msg, "unterminated string")
 }
 
-// ReadForm parses one complete expression from the stream; position-tree
-// offsets are absolute. On a malformed expression the scanner's position
-// is unchanged — use Resync to skip past the damage.
-func (s *Scanner) ReadForm() (Value, *PosTree, error) {
+// ReadIndexed indexes one complete expression from the stream into ix,
+// replacing its contents, and returns the expression's node; offsets are
+// absolute. On a malformed expression the scanner's position is unchanged
+// — use Resync to skip past the damage.
+func (s *Scanner) ReadIndexed(ix *Index) (Node, error) {
 	for {
+		ix.reset(0)
 		lx := &lexer{src: s.src, pos: s.pos, base: s.base}
-		v, pt, err := parseExpr(lx, 0)
+		root, err := ix.item(lx, 0)
 		if err == nil {
 			if !s.eof && lx.pos >= len(s.src) && s.fill() {
 				continue // a bare atom at the window edge may continue
 			}
 			s.pos = lx.pos
-			return v, pt, nil
+			ix.addForm(root)
+			return Node{ix, root}, nil
 		}
 		if !s.eof && incompleteParse(err) && s.fill() {
 			continue
 		}
-		return nil, nil, err
+		return Node{}, err
 	}
 }
 

@@ -313,9 +313,9 @@ type exReader struct {
 	sc *al.Scanner
 }
 
-// pos upgrades a parse-tree node to a line/column position.
-func (rd *exReader) pos(pt *al.PosTree) diag.Pos {
-	return rd.posAt(pt.Offset())
+// pos upgrades an indexed node to a line/column position.
+func (rd *exReader) pos(n al.Node) diag.Pos {
+	return rd.posAt(n.Off())
 }
 
 // posAt upgrades a byte offset to a line/column position. In streaming
@@ -340,11 +340,10 @@ func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
 		return nil, terr
 	}
 
-	var exprs []al.Value
-	var trees []*al.PosTree
+	var ix al.Index
 	if rd.col.Mode == diag.Lenient {
 		var aborted error
-		exprs, trees = al.ParseRecover(rd.src, func(off int, msg string) {
+		ix.ParseRecover(rd.src, func(off int, msg string) {
 			if aborted == nil {
 				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
 			}
@@ -352,34 +351,25 @@ func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
 		if aborted != nil {
 			return nil, aborted
 		}
-	} else {
-		var err error
-		exprs, trees, err = al.ParseTracked(rd.src)
-		if err != nil {
-			return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-		}
+	} else if err := ix.Parse(rd.src); err != nil {
+		return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
 	}
-	if len(exprs) != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (edif ...) form, got %d", len(exprs))
+	if ix.Forms() != 1 {
+		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (edif ...) form, got %d", ix.Forms())
 	}
-	top, ok := exprs[0].(al.List)
-	tt := trees[0]
-	if !ok || len(top) < 2 || !isSym(top[0], "edif") {
-		return nil, rd.col.Errorf("parse", rd.pos(tt), "missing (edif ...) form")
+	top := ix.First()
+	if top.Len() < 2 || !top.Kid(0).IsSym("edif") {
+		return nil, rd.col.Errorf("parse", rd.pos(top), "missing (edif ...) form")
 	}
 
 	// First pass: collect the rename table.
 	renames := make(map[string]string)
-	for i, item := range top[2:] {
-		l, ok := item.(al.List)
-		if !ok || len(l) == 0 {
-			continue
-		}
-		if isSym(l[0], "rename") && len(l) == 3 {
-			alias, err1 := symStr(l[1])
-			orig, err2 := symStr(l[2])
+	for it := top.Kid(2); it.Valid(); it = it.Next() {
+		if it.Len() == 3 && it.Kid(0).IsSym("rename") {
+			alias, err1 := symStr(it.Kid(1))
+			orig, err2 := symStr(it.Kid(2))
 			if err1 != nil || err2 != nil {
-				if err := rd.col.Errorf("record", rd.pos(tt.Kid(i+2)), "bad rename"); err != nil {
+				if err := rd.col.Errorf("record", rd.pos(it), "bad rename"); err != nil {
 					return nil, err
 				}
 				continue
@@ -395,27 +385,25 @@ func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
 	}
 
 	nl := netlist.New()
-	for i, item := range top[2:] {
-		it := tt.Kid(i + 2)
-		l, ok := item.(al.List)
-		if !ok || len(l) == 0 {
-			if err := rd.col.Errorf("record", rd.pos(it), "unexpected item %s", item.Repr()); err != nil {
+	for it := top.Kid(2); it.Valid(); it = it.Next() {
+		if it.Len() == 0 {
+			if err := rd.col.Errorf("record", rd.pos(it), "unexpected item %s", it.Repr()); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		head, _ := l[0].(al.Symbol)
+		head, _ := it.Kid(0).Sym()
 		switch head {
 		case "rename":
 			// handled in the first pass
 		case "design":
-			if len(l) < 2 {
+			if it.Len() < 2 {
 				if err := rd.col.Errorf("record", rd.pos(it), "design needs a name"); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			name, err := symStr(l[1])
+			name, err := symStr(it.Kid(1))
 			if err != nil {
 				if err := rd.col.Errorf("record", rd.pos(it.Kid(1)), "design name: %v", err); err != nil {
 					return nil, err
@@ -424,11 +412,11 @@ func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
 			}
 			nl.Top = restore(name)
 		case "cell":
-			if err := rd.readCell(nl, l, it, restore); err != nil {
+			if err := rd.readCell(nl, it, restore); err != nil {
 				return nil, err
 			}
 		case "hints":
-			ct := hintCounts(l)
+			ct := hintCounts(it)
 			nl.Grow(ct.cells)
 		default:
 			if err := rd.col.Errorf("record", rd.pos(it), "unknown form %q", head); err != nil {
@@ -588,20 +576,19 @@ func parseTrailerFields(line string, bodySum [sha256.Size]byte) (*elemCounts, st
 // hintCounts decodes a (hints (cells N) ...) record. Hints are advisory
 // pre-sizing data, so unknown or malformed entries are ignored, never
 // diagnosed.
-func hintCounts(l al.List) elemCounts {
+func hintCounts(l al.Node) elemCounts {
 	var ct elemCounts
-	for _, sub := range l[1:] {
-		sl, ok := sub.(al.List)
-		if !ok || len(sl) != 2 {
+	for sub := l.Kid(1); sub.Valid(); sub = sub.Next() {
+		if sub.Len() != 2 {
 			continue
 		}
-		key, ok := sl[0].(al.Symbol)
+		key, ok := sub.Kid(0).Sym()
 		if !ok {
 			continue
 		}
-		num, ok := sl[1].(al.Num)
+		num, ok := sub.Kid(1).Num()
 		n := int(num)
-		if !ok || al.Num(n) != num || n < 0 {
+		if !ok || float64(n) != num || n < 0 {
 			continue
 		}
 		switch key {
@@ -646,20 +633,20 @@ func lastLine(src string) (string, int) {
 // readCell parses one (cell ...) form. A returned non-nil error is an
 // abort; recoverable problems are reported and the offending record
 // skipped.
-func (rd *exReader) readCell(nl *netlist.Netlist, l al.List, lt *al.PosTree, restore func(string) string) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "cell needs a name")
+func (rd *exReader) readCell(nl *netlist.Netlist, l al.Node, restore func(string) string) error {
+	if l.Len() < 2 {
+		return rd.col.Errorf("record", rd.pos(l), "cell needs a name")
 	}
-	name, err := symStr(l[1])
+	name, err := symStr(l.Kid(1))
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "cell name: %v", err)
+		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "cell name: %v", err)
 	}
 	c, err := nl.AddCell(restore(name))
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt), "%v", err)
+		return rd.col.Errorf("record", rd.pos(l), "%v", err)
 	}
-	for i, item := range l[2:] {
-		if err := rd.readCellItem(c, item, lt.Kid(i+2), restore); err != nil {
+	for it := l.Kid(2); it.Valid(); it = it.Next() {
+		if err := rd.readCellItem(c, it, restore); err != nil {
 			return err
 		}
 	}
@@ -668,64 +655,56 @@ func (rd *exReader) readCell(nl *netlist.Netlist, l al.List, lt *al.PosTree, res
 
 // readCellItem handles one body item of a (cell ...) form. The streaming
 // reader calls it record by record; the buffered reader loops over the
-// materialized cell. A non-nil return is an abort.
-func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree, restore func(string) string) error {
-	il, ok := item.(al.List)
-	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", item.Repr())
+// indexed cell. A non-nil return is an abort.
+func (rd *exReader) readCellItem(c *netlist.Cell, it al.Node, restore func(string) string) error {
+	if it.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", it.Repr())
 	}
-	head, _ := il[0].(al.Symbol)
+	head, _ := it.Kid(0).Sym()
 	switch head {
 	case "interface":
-		return rd.readInterface(c, il, it, restore)
+		return rd.readInterface(c, it, restore)
 	case "primitive":
 		c.Primitive = true
 	case "contents":
-		return rd.readContents(c, il, it, restore)
+		for item := it.Kid(1); item.Valid(); item = item.Next() {
+			if err := rd.readContentsItem(c, item, restore); err != nil {
+				return err
+			}
+		}
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree, restore func(string) string) error {
-	for j, pi := range il[1:] {
-		pt := it.Kid(j + 1)
-		pl, ok := pi.(al.List)
-		if !ok || len(pl) != 3 || !isSym(pl[0], "port") {
-			if err := rd.col.Errorf("record", rd.pos(pt), "bad port %s", pi.Repr()); err != nil {
+func (rd *exReader) readInterface(c *netlist.Cell, il al.Node, restore func(string) string) error {
+	for pl := il.Kid(1); pl.Valid(); pl = pl.Next() {
+		if pl.Len() != 3 || !pl.Kid(0).IsSym("port") {
+			if err := rd.col.Errorf("record", rd.pos(pl), "bad port %s", pl.Repr()); err != nil {
 				return err
 			}
 			continue
 		}
-		pname, err1 := symStr(pl[1])
-		dname, err2 := symStr(pl[2])
+		pname, err1 := symStr(pl.Kid(1))
+		dname, err2 := symStr(pl.Kid(2))
 		if err1 != nil || err2 != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt), "port fields"); err != nil {
+			if err := rd.col.Errorf("record", rd.pos(pl), "port fields"); err != nil {
 				return err
 			}
 			continue
 		}
 		dir, err := netlist.ParsePortDir(dname)
 		if err != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt.Kid(2)), "%v", err); err != nil {
+			if err := rd.col.Errorf("record", rd.pos(pl.Kid(2)), "%v", err); err != nil {
 				return err
 			}
 			continue
 		}
 		if err := c.AddPort(restore(pname), dir); err != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt), "%v", err); err != nil {
+			if err := rd.col.Errorf("record", rd.pos(pl), "%v", err); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-func (rd *exReader) readContents(c *netlist.Cell, l al.List, lt *al.PosTree, restore func(string) string) error {
-	for i, item := range l[1:] {
-		if err := rd.readContentsItem(c, item, lt.Kid(i+1), restore); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -734,107 +713,97 @@ func (rd *exReader) readContents(c *netlist.Cell, l al.List, lt *al.PosTree, res
 // readContentsItem handles one record of a (contents ...) form — the
 // granularity at which the streaming reader parses, recovers and frees
 // memory. A non-nil return is an abort.
-func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosTree, restore func(string) string) error {
-	il, ok := item.(al.List)
-	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad contents item")
+func (rd *exReader) readContentsItem(c *netlist.Cell, il al.Node, restore func(string) string) error {
+	if il.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(il), "bad contents item")
 	}
-	head, _ := il[0].(al.Symbol)
+	head, _ := il.Kid(0).Sym()
 	switch head {
 	case "net":
-		if len(il) < 2 {
-			return rd.col.Errorf("record", rd.pos(it), "net needs a name")
+		if il.Len() < 2 {
+			return rd.col.Errorf("record", rd.pos(il), "net needs a name")
 		}
-		name, err := symStr(il[1])
+		name, err := symStr(il.Kid(1))
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it.Kid(1)), "net name: %v", err)
+			return rd.col.Errorf("record", rd.pos(il.Kid(1)), "net name: %v", err)
 		}
 		nt := c.EnsureNet(restore(name))
-		for _, sub := range il[2:] {
-			sl, ok := sub.(al.List)
-			if !ok || len(sl) == 0 {
-				continue
-			}
+		for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
 			switch {
-			case isSym(sl[0], "global"):
+			case sl.Len() == 0:
+			case sl.Kid(0).IsSym("global"):
 				nt.Global = true
-			case isSym(sl[0], "property") && len(sl) == 3:
-				k, _ := symStr(sl[1])
-				v, _ := symStr(sl[2])
+			case sl.Len() == 3 && sl.Kid(0).IsSym("property"):
+				k, _ := symStr(sl.Kid(1))
+				v, _ := symStr(sl.Kid(2))
 				nt.Attrs[k] = v
 			}
 		}
 	case "instance":
-		return rd.readInstance(c, il, it, restore)
+		return rd.readInstance(c, il, restore)
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown contents item %q", head)
+		return rd.col.Errorf("record", rd.pos(il), "unknown contents item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree, restore func(string) string) error {
-	if len(il) < 2 {
-		return rd.col.Errorf("record", rd.pos(it), "instance needs a name")
+func (rd *exReader) readInstance(c *netlist.Cell, il al.Node, restore func(string) string) error {
+	if il.Len() < 2 {
+		return rd.col.Errorf("record", rd.pos(il), "instance needs a name")
 	}
-	name, err := symStr(il[1])
+	name, err := symStr(il.Kid(1))
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(it.Kid(1)), "instance name: %v", err)
+		return rd.col.Errorf("record", rd.pos(il.Kid(1)), "instance name: %v", err)
 	}
 	var inst *netlist.Instance
-	for j, sub := range il[2:] {
-		st := it.Kid(j + 2)
-		sl, ok := sub.(al.List)
-		if !ok || len(sl) == 0 {
-			continue
-		}
+	for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
 		switch {
-		case isSym(sl[0], "of") && len(sl) == 2:
-			m, err := symStr(sl[1])
+		case sl.Len() == 0:
+		case sl.Len() == 2 && sl.Kid(0).IsSym("of"):
+			m, err := symStr(sl.Kid(1))
 			if err != nil {
-				return rd.col.Errorf("record", rd.pos(st.Kid(1)), "master: %v", err)
+				return rd.col.Errorf("record", rd.pos(sl.Kid(1)), "master: %v", err)
 			}
 			inst, err = c.AddInstance(restore(name), restore(m))
 			if err != nil {
-				return rd.col.Errorf("record", rd.pos(st), "%v", err)
+				return rd.col.Errorf("record", rd.pos(sl), "%v", err)
 			}
-		case isSym(sl[0], "joined"):
+		case sl.Kid(0).IsSym("joined"):
 			if inst == nil {
-				return rd.col.Errorf("record", rd.pos(st), "joined before of")
+				return rd.col.Errorf("record", rd.pos(sl), "joined before of")
 			}
-			for k, ji := range sl[1:] {
-				jt := st.Kid(k + 1)
-				jl, ok := ji.(al.List)
-				if !ok || len(jl) != 2 {
-					if err := rd.col.Errorf("record", rd.pos(jt), "bad joined pair %s", ji.Repr()); err != nil {
+			for jl := sl.Kid(1); jl.Valid(); jl = jl.Next() {
+				if jl.Len() != 2 {
+					if err := rd.col.Errorf("record", rd.pos(jl), "bad joined pair %s", jl.Repr()); err != nil {
 						return err
 					}
 					continue
 				}
-				port, err1 := symStr(jl[0])
-				net, err2 := symStr(jl[1])
+				port, err1 := symStr(jl.Kid(0))
+				net, err2 := symStr(jl.Kid(1))
 				if err1 != nil || err2 != nil {
-					if err := rd.col.Errorf("record", rd.pos(jt), "joined fields"); err != nil {
+					if err := rd.col.Errorf("record", rd.pos(jl), "joined fields"); err != nil {
 						return err
 					}
 					continue
 				}
 				if err := c.Connect(restore(name), restore(port), restore(net)); err != nil {
-					if err := rd.col.Errorf("record", rd.pos(jt), "%v", err); err != nil {
+					if err := rd.col.Errorf("record", rd.pos(jl), "%v", err); err != nil {
 						return err
 					}
 				}
 			}
-		case isSym(sl[0], "property") && len(sl) == 3:
+		case sl.Len() == 3 && sl.Kid(0).IsSym("property"):
 			if inst == nil {
-				return rd.col.Errorf("record", rd.pos(st), "property before of")
+				return rd.col.Errorf("record", rd.pos(sl), "property before of")
 			}
-			k, _ := symStr(sl[1])
-			v, _ := symStr(sl[2])
+			k, _ := symStr(sl.Kid(1))
+			v, _ := symStr(sl.Kid(2))
 			inst.Attrs[k] = v
 		}
 	}
 	if inst == nil {
-		return rd.col.Errorf("record", rd.pos(it), "instance %q missing (of ...)", name)
+		return rd.col.Errorf("record", rd.pos(il), "instance %q missing (of ...)", name)
 	}
 	return nil
 }
@@ -871,18 +840,12 @@ func Fingerprint(nl *netlist.Netlist) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func isSym(v al.Value, s string) bool {
-	sym, ok := v.(al.Symbol)
-	return ok && string(sym) == s
-}
-
-func symStr(v al.Value) (string, error) {
-	switch x := v.(type) {
-	case al.Symbol:
-		return string(x), nil
-	case al.Str:
-		return string(x), nil
-	default:
-		return "", fmt.Errorf("expected name, got %s", v.Repr())
+func symStr(n al.Node) (string, error) {
+	if s, ok := n.Sym(); ok {
+		return s, nil
 	}
+	if s, ok := n.Str(); ok {
+		return s, nil
+	}
+	return "", fmt.Errorf("expected name, got %s", n.Repr())
 }

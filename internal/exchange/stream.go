@@ -103,6 +103,7 @@ func identName(s string) string { return s }
 type stream struct {
 	rd  *exReader
 	sc  *al.Scanner
+	ix  al.Index // the current record; its node storage is reused
 	tee *trailerTee
 
 	renames    map[string]string
@@ -167,7 +168,7 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 		// Some other toplevel form: it only matters for the form count
 		// (and, if it is the first, for the missing-edif position).
 		pos := rd.posAt(off)
-		if _, _, err := sc.ReadForm(); err != nil {
+		if _, err := sc.ReadIndexed(&st.ix); err != nil {
 			if rd.col.Mode == diag.Strict {
 				return nil, st.abort(rd.col.Errorf("parse", diag.NoPos, "%v", err), require)
 			}
@@ -283,7 +284,7 @@ func (st *stream) walkEdif(openOff int) (*netlist.Netlist, error) {
 				continue
 			}
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			if aerr := st.recordParseErr(off, err); aerr != nil {
 				return nil, aerr
@@ -291,51 +292,50 @@ func (st *stream) walkEdif(openOff int) (*netlist.Netlist, error) {
 			sc.Compact()
 			continue
 		}
-		if aerr := st.topItem(nl, v, pt); aerr != nil {
+		if aerr := st.topItem(nl, n); aerr != nil {
 			return nil, aerr
 		}
 		sc.Compact()
 	}
 }
 
-// topItem dispatches one materialized toplevel item (everything except
-// cells, which are walked record by record).
-func (st *stream) topItem(nl *netlist.Netlist, v al.Value, pt *al.PosTree) error {
+// topItem dispatches one indexed toplevel item (everything except cells,
+// which are walked record by record).
+func (st *stream) topItem(nl *netlist.Netlist, l al.Node) error {
 	rd := st.rd
-	l, ok := v.(al.List)
-	if !ok || len(l) == 0 {
-		return rd.col.Errorf("record", rd.pos(pt), "unexpected item %s", v.Repr())
+	if l.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(l), "unexpected item %s", l.Repr())
 	}
-	head, _ := l[0].(al.Symbol)
+	head, _ := l.Kid(0).Sym()
 	switch head {
 	case "rename":
 		// Mirror the buffered first pass: only three-element renames are
 		// examined; anything else is silently ignored.
-		if len(l) != 3 {
+		if l.Len() != 3 {
 			return nil
 		}
-		alias, err1 := symStr(l[1])
-		orig, err2 := symStr(l[2])
+		alias, err1 := symStr(l.Kid(1))
+		orig, err2 := symStr(l.Kid(2))
 		if err1 != nil || err2 != nil {
 			if rd.col.Mode == diag.Strict {
-				return rd.col.Errorf("record", rd.pos(pt), "bad rename")
+				return rd.col.Errorf("record", rd.pos(l), "bad rename")
 			}
 			// Deferred: the buffered reader reports bad renames before any
 			// record diagnostic, so these are spliced in at end of input.
 			st.badRenames = append(st.badRenames, diag.Diagnostic{
 				Sev: diag.Error, Code: "record", Source: rd.col.Source,
-				Pos: rd.pos(pt), Msg: "bad rename",
+				Pos: rd.pos(l), Msg: "bad rename",
 			})
 			return nil
 		}
 		st.renames[alias] = orig
 	case "design":
-		if len(l) < 2 {
-			return rd.col.Errorf("record", rd.pos(pt), "design needs a name")
+		if l.Len() < 2 {
+			return rd.col.Errorf("record", rd.pos(l), "design needs a name")
 		}
-		name, err := symStr(l[1])
+		name, err := symStr(l.Kid(1))
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(pt.Kid(1)), "design name: %v", err)
+			return rd.col.Errorf("record", rd.pos(l.Kid(1)), "design name: %v", err)
 		}
 		nl.Top = name
 	case "hints":
@@ -344,10 +344,10 @@ func (st *stream) topItem(nl *netlist.Netlist, v al.Value, pt *al.PosTree) error
 		st.netsHint, st.instsHint = ct.nets, ct.insts
 	case "cell":
 		// Unreachable via the normal walk (cells are detected by token and
-		// streamed); kept for a materialized oddity like a quoted cell.
-		return rd.readCell(nl, l, pt, identName)
+		// streamed); kept for an oddity like a quoted cell.
+		return rd.readCell(nl, l, identName)
 	default:
-		return rd.col.Errorf("record", rd.pos(pt), "unknown form %q", head)
+		return rd.col.Errorf("record", rd.pos(l), "unknown form %q", head)
 	}
 	return nil
 }
@@ -369,7 +369,7 @@ func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
 		sc.Next()
 		return rd.col.Errorf("record", openPos, "cell needs a name")
 	}
-	nameV, namePT, err := sc.ReadForm()
+	nameN, err := sc.ReadIndexed(&st.ix)
 	if err != nil {
 		if aerr := st.recordParseErr(openOff, err); aerr != nil {
 			return aerr
@@ -377,9 +377,9 @@ func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
 		sc.SkipToClose()
 		return nil
 	}
-	name, err := symStr(nameV)
+	name, err := symStr(nameN)
 	if err != nil {
-		if aerr := rd.col.Errorf("record", rd.pos(namePT), "cell name: %v", err); aerr != nil {
+		if aerr := rd.col.Errorf("record", rd.pos(nameN), "cell name: %v", err); aerr != nil {
 			return aerr
 		}
 		sc.SkipToClose()
@@ -414,7 +414,7 @@ func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
 				continue
 			}
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			if aerr := st.recordParseErr(off, err); aerr != nil {
 				return aerr
@@ -422,7 +422,7 @@ func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readCellItem(c, v, pt, identName); aerr != nil {
+		if aerr := rd.readCellItem(c, n, identName); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -460,7 +460,7 @@ func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
 			sc.Next()
 			return nil
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			// Record-boundary recovery: the damaged record is skipped and
 			// everything after it is salvaged.
@@ -470,7 +470,7 @@ func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readContentsItem(c, v, pt, identName); aerr != nil {
+		if aerr := rd.readContentsItem(c, n, identName); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -478,7 +478,7 @@ func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
 }
 
 // recordParseErr mirrors the buffered reader's handling of a parse error.
-// Strict reports at NoPos, exactly as the ParseTracked caller does, and
+// Strict reports at NoPos, exactly as the buffered reader does, and
 // aborts. Lenient reports at the record's start and resynchronizes the
 // scanner past the damaged record — recovery at the granularity the
 // buffered (whole-input) parse cannot offer.
@@ -495,7 +495,7 @@ func (st *stream) recordParseErr(off int, err error) error {
 
 // unterminated reports end of input inside an open form, with the message
 // the whole-input parse produces for the innermost unclosed list. The
-// lenient position is the toplevel form start, as ParseRecover reports.
+// lenient position is the toplevel form start, as the buffered recovery reports.
 func (st *stream) unterminated(openOff int) error {
 	err := fmt.Errorf("%w: offset %d: unterminated list", al.ErrParse, openOff)
 	if st.rd.col.Mode == diag.Strict {

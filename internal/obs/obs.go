@@ -154,7 +154,10 @@ func (r *Recorder) Start(parent SpanID, name string) SpanID {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.clock.Ticks()
+	// No span starts before tick 0: an end of -1 marks an open span, so a
+	// clock read below zero (a manual clock moved backwards) must not
+	// become a span's start, or its clamped end, too.
+	t := max(r.clock.Ticks(), 0)
 	ceil := int64(math.MaxInt64)
 	if p := r.spanAt(parent); p != nil {
 		ceil = p.ceil

@@ -142,3 +142,18 @@ func TestQuickHistogramBucketPlacement(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNegativeClockSpan: a clock read below zero must not start a span
+// there — an end of -1 is the open-span marker, so such a span could
+// never be closed (found by TestQuickSpanInvariants, seed
+// -462089050279682965).
+func TestNegativeClockSpan(t *testing.T) {
+	clk := &ManualClock{T: -3}
+	r := New(clk)
+	id := r.Start(0, "s")
+	r.End(id)
+	r.Close()
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

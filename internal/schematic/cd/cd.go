@@ -192,8 +192,8 @@ type cdReader struct {
 	sc *al.Scanner
 }
 
-func (rd *cdReader) pos(pt *al.PosTree) diag.Pos {
-	return rd.posAt(pt.Offset())
+func (rd *cdReader) pos(n al.Node) diag.Pos {
+	return rd.posAt(n.Off())
 }
 
 func (rd *cdReader) posAt(off int) diag.Pos {
@@ -210,11 +210,10 @@ func (rd *cdReader) posAt(off int) diag.Pos {
 }
 
 func (rd *cdReader) read(lint bool) (*schematic.Design, error) {
-	var exprs []al.Value
-	var trees []*al.PosTree
+	var ix al.Index
 	if rd.col.Mode == diag.Lenient {
 		var aborted error
-		exprs, trees = al.ParseRecover(rd.src, func(off int, msg string) {
+		ix.ParseRecover(rd.src, func(off int, msg string) {
 			if aborted == nil {
 				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
 			}
@@ -222,28 +221,23 @@ func (rd *cdReader) read(lint bool) (*schematic.Design, error) {
 		if aborted != nil {
 			return nil, aborted
 		}
-	} else {
-		var err error
-		exprs, trees, err = al.ParseTracked(rd.src)
-		if err != nil {
-			return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-		}
+	} else if err := ix.Parse(rd.src); err != nil {
+		return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
 	}
-	if len(exprs) != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (design ...) form, got %d", len(exprs))
+	if ix.Forms() != 1 {
+		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (design ...) form, got %d", ix.Forms())
 	}
-	top, ok := exprs[0].(al.List)
-	tt := trees[0]
-	if !ok || len(top) < 2 || !isSym(top[0], "design") {
-		return nil, rd.col.Errorf("parse", rd.pos(tt), "missing (design ...) form")
+	top := ix.First()
+	if top.Len() < 2 || !top.Kid(0).IsSym("design") {
+		return nil, rd.col.Errorf("parse", rd.pos(top), "missing (design ...) form")
 	}
-	name, err := symOrStr(top[1])
+	name, err := symOrStr(top.Kid(1))
 	if err != nil {
-		return nil, rd.col.Errorf("record", rd.pos(tt.Kid(1)), "design name: %v", err)
+		return nil, rd.col.Errorf("record", rd.pos(top.Kid(1)), "design name: %v", err)
 	}
 	d := schematic.NewDesign(name, geom.GridSixteenth)
-	for i, item := range top[2:] {
-		if err := rd.readDesignItem(d, item, tt.Kid(i+2)); err != nil {
+	for it := top.Kid(2); it.Valid(); it = it.Next() {
+		if err := rd.readDesignItem(d, it); err != nil {
 			return nil, err
 		}
 	}
@@ -258,19 +252,18 @@ func (rd *cdReader) read(lint bool) (*schematic.Design, error) {
 }
 
 // readDesignItem handles one direct child of the (design ...) form.
-func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.PosTree) error {
-	l, ok := item.(al.List)
-	if !ok || len(l) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "unexpected item %s", item.Repr())
+func (rd *cdReader) readDesignItem(d *schematic.Design, l al.Node) error {
+	if l.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(l), "unexpected item %s", l.Repr())
 	}
-	head, _ := l[0].(al.Symbol)
+	head, _ := l.Kid(0).Sym()
 	switch head {
 	case "grid":
 		err := func() error {
-			if len(l) < 2 {
+			if l.Len() < 2 {
 				return fmt.Errorf("grid needs a name")
 			}
-			gname, err := symOrStr(l[1])
+			gname, err := symOrStr(l.Kid(1))
 			if err != nil {
 				return fmt.Errorf("grid: %v", err)
 			}
@@ -285,13 +278,13 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 			return nil
 		}()
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it), "%v", err)
+			return rd.col.Errorf("record", rd.pos(l), "%v", err)
 		}
 	case "globals":
-		for j, g := range l[1:] {
+		for g := l.Kid(1); g.Valid(); g = g.Next() {
 			s, err := symOrStr(g)
 			if err != nil {
-				if aerr := rd.col.Errorf("record", rd.pos(it.Kid(j+1)), "global: %v", err); aerr != nil {
+				if aerr := rd.col.Errorf("record", rd.pos(g), "global: %v", err); aerr != nil {
 					return aerr
 				}
 				continue
@@ -299,26 +292,26 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 			d.Globals = append(d.Globals, s)
 		}
 	case "library":
-		return rd.readLibrary(d, l, it)
+		return rd.readLibrary(d, l)
 	case "cell":
-		return rd.readCell(d, l, it)
+		return rd.readCell(d, l)
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown form %q", head)
+		return rd.col.Errorf("record", rd.pos(l), "unknown form %q", head)
 	}
 	return nil
 }
 
-func (rd *cdReader) readLibrary(d *schematic.Design, l al.List, lt *al.PosTree) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "library needs a name")
+func (rd *cdReader) readLibrary(d *schematic.Design, l al.Node) error {
+	if l.Len() < 2 {
+		return rd.col.Errorf("record", rd.pos(l), "library needs a name")
 	}
-	name, err := symOrStr(l[1])
+	name, err := symOrStr(l.Kid(1))
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "library name: %v", err)
+		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "library name: %v", err)
 	}
 	lib := d.EnsureLibrary(name)
-	for i, item := range l[2:] {
-		if err := rd.readLibraryItem(lib, item, lt.Kid(i+2)); err != nil {
+	for it := l.Kid(2); it.Valid(); it = it.Next() {
+		if err := rd.readLibraryItem(lib, it); err != nil {
 			return err
 		}
 	}
@@ -326,8 +319,8 @@ func (rd *cdReader) readLibrary(d *schematic.Design, l al.List, lt *al.PosTree) 
 }
 
 // readLibraryItem parses one (symbol ...) record into the library.
-func (rd *cdReader) readLibraryItem(lib *schematic.Library, item al.Value, it *al.PosTree) error {
-	sym, err := parseSymbol(item)
+func (rd *cdReader) readLibraryItem(lib *schematic.Library, it al.Node) error {
+	sym, err := parseSymbol(it)
 	if err != nil {
 		return rd.col.Errorf("record", rd.pos(it), "%v", err)
 	}
@@ -339,43 +332,41 @@ func (rd *cdReader) readLibraryItem(lib *schematic.Library, item al.Value, it *a
 
 // parseSymbol parses one (symbol name view ...) form; errors are plain
 // (un-wrapped) so the caller can attach a position.
-func parseSymbol(item al.Value) (*schematic.Symbol, error) {
-	sl, ok := item.(al.List)
-	if !ok || len(sl) < 3 || !isSym(sl[0], "symbol") {
-		return nil, fmt.Errorf("expected (symbol ...), got %s", item.Repr())
+func parseSymbol(sl al.Node) (*schematic.Symbol, error) {
+	if sl.Len() < 3 || !sl.Kid(0).IsSym("symbol") {
+		return nil, fmt.Errorf("expected (symbol ...), got %s", sl.Repr())
 	}
-	sname, err1 := symOrStr(sl[1])
-	sview, err2 := symOrStr(sl[2])
+	sname, err1 := symOrStr(sl.Kid(1))
+	sview, err2 := symOrStr(sl.Kid(2))
 	if err1 != nil || err2 != nil {
 		return nil, fmt.Errorf("symbol name/view")
 	}
 	sym := &schematic.Symbol{Name: sname, View: sview}
-	for _, sub := range sl[3:] {
-		ssl, ok := sub.(al.List)
-		if !ok || len(ssl) == 0 {
-			return nil, fmt.Errorf("bad symbol item %s", sub.Repr())
+	for ssl := sl.Kid(3); ssl.Valid(); ssl = ssl.Next() {
+		if ssl.Len() == 0 {
+			return nil, fmt.Errorf("bad symbol item %s", ssl.Repr())
 		}
-		h, _ := ssl[0].(al.Symbol)
+		h, _ := ssl.Kid(0).Sym()
 		switch h {
 		case "body":
-			xs, err := nums(ssl[1:], 4)
+			xs, err := nums(ssl, 1, ssl.Len(), 4)
 			if err != nil {
 				return nil, fmt.Errorf("body: %v", err)
 			}
 			sym.Body = geom.R(xs[0], xs[1], xs[2], xs[3])
 		case "pin":
-			if len(ssl) != 5 {
+			if ssl.Len() != 5 {
 				return nil, fmt.Errorf("pin wants (pin name x y dir)")
 			}
-			pname, err := symOrStr(ssl[1])
+			pname, err := symOrStr(ssl.Kid(1))
 			if err != nil {
 				return nil, fmt.Errorf("pin name: %v", err)
 			}
-			xs, err := nums(ssl[2:4], 2)
+			xs, err := nums(ssl, 2, 4, 2)
 			if err != nil {
 				return nil, fmt.Errorf("pin pos: %v", err)
 			}
-			dname, err := symOrStr(ssl[4])
+			dname, err := symOrStr(ssl.Kid(4))
 			if err != nil {
 				return nil, fmt.Errorf("pin dir: %v", err)
 			}
@@ -397,20 +388,20 @@ func parseSymbol(item al.Value) (*schematic.Symbol, error) {
 	return sym, nil
 }
 
-func (rd *cdReader) readCell(d *schematic.Design, l al.List, lt *al.PosTree) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "cell needs a name")
+func (rd *cdReader) readCell(d *schematic.Design, l al.Node) error {
+	if l.Len() < 2 {
+		return rd.col.Errorf("record", rd.pos(l), "cell needs a name")
 	}
-	name, err := symOrStr(l[1])
+	name, err := symOrStr(l.Kid(1))
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "cell name: %v", err)
+		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "cell name: %v", err)
 	}
 	cell, err := d.AddCell(name)
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt), "%v", err)
+		return rd.col.Errorf("record", rd.pos(l), "%v", err)
 	}
-	for i, item := range l[2:] {
-		if err := rd.readCellItem(cell, item, lt.Kid(i+2)); err != nil {
+	for it := l.Kid(2); it.Valid(); it = it.Next() {
+		if err := rd.readCellItem(cell, it); err != nil {
 			return err
 		}
 	}
@@ -418,20 +409,19 @@ func (rd *cdReader) readCell(d *schematic.Design, l al.List, lt *al.PosTree) err
 }
 
 // readCellItem handles one direct child of a (cell ...) form.
-func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.PosTree) error {
-	cl, ok := item.(al.List)
-	if !ok || len(cl) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", item.Repr())
+func (rd *cdReader) readCellItem(cell *schematic.Cell, cl al.Node) error {
+	if cl.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(cl), "bad cell item %s", cl.Repr())
 	}
-	h, _ := cl[0].(al.Symbol)
+	h, _ := cl.Kid(0).Sym()
 	switch h {
 	case "port":
 		err := func() error {
-			if len(cl) != 3 {
+			if cl.Len() != 3 {
 				return fmt.Errorf("port wants (port name dir)")
 			}
-			pname, err1 := symOrStr(cl[1])
-			dname, err2 := symOrStr(cl[2])
+			pname, err1 := symOrStr(cl.Kid(1))
+			dname, err2 := symOrStr(cl.Kid(2))
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("port fields")
 			}
@@ -443,40 +433,33 @@ func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.Pos
 			return nil
 		}()
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it), "%v", err)
+			return rd.col.Errorf("record", rd.pos(cl), "%v", err)
 		}
 	case "page":
-		return rd.readPage(cell, cl, it)
+		return rd.readPage(cell, cl)
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", h)
+		return rd.col.Errorf("record", rd.pos(cl), "unknown cell item %q", h)
 	}
 	return nil
 }
 
-func (rd *cdReader) readPage(cell *schematic.Cell, l al.List, lt *al.PosTree) error {
+func (rd *cdReader) readPage(cell *schematic.Cell, l al.Node) error {
 	var size geom.Rect
-	body := l
-	bodyStart := len(l) // consume nothing by default
-	if len(l) >= 2 {
-		bodyStart = 2 // (page index ...)
-	}
-	if len(l) >= 3 {
-		if sl, ok := l[2].(al.List); ok && len(sl) == 5 && isSym(sl[0], "size") {
-			xs, err := nums(sl[1:], 4)
-			if err != nil {
-				if aerr := rd.col.Errorf("record", rd.pos(lt.Kid(2)), "page size: %v", err); aerr != nil {
-					return aerr
-				}
-			} else {
-				size = geom.R(xs[0], xs[1], xs[2], xs[3])
+	body := l.Kid(2) // (page index body...); absent for a bare (page)
+	if body.Len() == 5 && body.Kid(0).IsSym("size") {
+		xs, err := nums(body, 1, 5, 4)
+		if err != nil {
+			if aerr := rd.col.Errorf("record", rd.pos(body), "page size: %v", err); aerr != nil {
+				return aerr
 			}
-			bodyStart = 3
+		} else {
+			size = geom.R(xs[0], xs[1], xs[2], xs[3])
 		}
+		body = body.Next()
 	}
-	body = l[bodyStart:]
 	pg := cell.AddPage(size)
-	for i, item := range body {
-		if err := rd.readPageItem(pg, item, lt.Kid(i+bodyStart)); err != nil {
+	for it := body; it.Valid(); it = it.Next() {
+		if err := rd.readPageItem(pg, it); err != nil {
 			return err
 		}
 	}
@@ -484,12 +467,11 @@ func (rd *cdReader) readPage(cell *schematic.Cell, l al.List, lt *al.PosTree) er
 }
 
 // readPageItem parses one page record (inst, wire, label, conn, text).
-func (rd *cdReader) readPageItem(pg *schematic.Page, item al.Value, it *al.PosTree) error {
-	il, ok := item.(al.List)
-	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad page item %s", item.Repr())
+func (rd *cdReader) readPageItem(pg *schematic.Page, il al.Node) error {
+	if il.Len() == 0 {
+		return rd.col.Errorf("record", rd.pos(il), "bad page item %s", il.Repr())
 	}
-	h, _ := il[0].(al.Symbol)
+	h, _ := il.Kid(0).Sym()
 	var err error
 	switch h {
 	case "inst":
@@ -526,50 +508,49 @@ func (rd *cdReader) readPageItem(pg *schematic.Page, item al.Value, it *al.PosTr
 		err = fmt.Errorf("unknown page item %q", h)
 	}
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(it), "%v", err)
+		return rd.col.Errorf("record", rd.pos(il), "%v", err)
 	}
 	return nil
 }
 
-func parseInst(il al.List) (*schematic.Instance, error) {
-	if len(il) < 2 {
+func parseInst(il al.Node) (*schematic.Instance, error) {
+	if il.Len() < 2 {
 		return nil, fmt.Errorf("inst needs a name")
 	}
 	inst := &schematic.Instance{}
-	iname, err := symOrStr(il[1])
+	iname, err := symOrStr(il.Kid(1))
 	if err != nil {
 		return nil, fmt.Errorf("inst name: %v", err)
 	}
 	inst.Name = iname
-	for _, sub := range il[2:] {
-		sl, ok := sub.(al.List)
-		if !ok || len(sl) == 0 {
-			return nil, fmt.Errorf("bad inst item %s", sub.Repr())
+	for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
+		if sl.Len() == 0 {
+			return nil, fmt.Errorf("bad inst item %s", sl.Repr())
 		}
-		sh, _ := sl[0].(al.Symbol)
+		sh, _ := sl.Kid(0).Sym()
 		switch sh {
 		case "of":
-			if len(sl) != 4 {
+			if sl.Len() != 4 {
 				return nil, fmt.Errorf("of wants lib name view")
 			}
-			lib, e1 := symOrStr(sl[1])
-			nm, e2 := symOrStr(sl[2])
-			vw, e3 := symOrStr(sl[3])
+			lib, e1 := symOrStr(sl.Kid(1))
+			nm, e2 := symOrStr(sl.Kid(2))
+			vw, e3 := symOrStr(sl.Kid(3))
 			if e1 != nil || e2 != nil || e3 != nil {
 				return nil, fmt.Errorf("of fields")
 			}
 			inst.Sym = schematic.SymbolKey{Lib: lib, Name: nm, View: vw}
 		case "at":
-			xs, err := nums(sl[1:], 2)
+			xs, err := nums(sl, 1, sl.Len(), 2)
 			if err != nil {
 				return nil, fmt.Errorf("at: %v", err)
 			}
 			inst.Placement.Offset = geom.Pt(xs[0], xs[1])
 		case "orient":
-			if len(sl) != 2 {
+			if sl.Len() != 2 {
 				return nil, fmt.Errorf("orient wants a name")
 			}
-			oname, err := symOrStr(sl[1])
+			oname, err := symOrStr(sl.Kid(1))
 			if err != nil {
 				return nil, fmt.Errorf("orient: %v", err)
 			}
@@ -591,14 +572,16 @@ func parseInst(il al.List) (*schematic.Instance, error) {
 	return inst, nil
 }
 
-func parseWire(il al.List) (*schematic.Wire, error) {
+func parseWire(il al.Node) (*schematic.Wire, error) {
 	var pts []geom.Point
-	for _, sub := range il[1:] {
-		pl, ok := sub.(al.List)
-		if !ok || len(pl) != 2 {
-			return nil, fmt.Errorf("wire point %s", sub.Repr())
+	if n := il.Len() - 1; n > 0 {
+		pts = make([]geom.Point, 0, n)
+	}
+	for pl := il.Kid(1); pl.Valid(); pl = pl.Next() {
+		if pl.Len() != 2 {
+			return nil, fmt.Errorf("wire point %s", pl.Repr())
 		}
-		xs, err := nums(pl, 2)
+		xs, err := nums(pl, 0, 2, 2)
 		if err != nil {
 			return nil, fmt.Errorf("wire point: %v", err)
 		}
@@ -607,37 +590,36 @@ func parseWire(il al.List) (*schematic.Wire, error) {
 	return &schematic.Wire{Points: pts}, nil
 }
 
-func parseLabel(il al.List) (*schematic.Label, error) {
-	if len(il) < 2 {
+func parseLabel(il al.Node) (*schematic.Label, error) {
+	if il.Len() < 2 {
 		return nil, fmt.Errorf("label needs text")
 	}
 	lb := &schematic.Label{}
-	txt, err := symOrStr(il[1])
+	txt, err := symOrStr(il.Kid(1))
 	if err != nil {
 		return nil, fmt.Errorf("label text: %v", err)
 	}
 	lb.Text = txt
-	for _, sub := range il[2:] {
-		sl, _ := sub.(al.List)
-		if len(sl) == 0 {
+	for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
+		if sl.Len() == 0 {
 			continue
 		}
-		sh, _ := sl[0].(al.Symbol)
+		sh, _ := sl.Kid(0).Sym()
 		switch sh {
 		case "at":
-			xs, err := nums(sl[1:], 2)
+			xs, err := nums(sl, 1, sl.Len(), 2)
 			if err != nil {
 				return nil, fmt.Errorf("label at: %v", err)
 			}
 			lb.At = geom.Pt(xs[0], xs[1])
 		case "size":
-			xs, err := nums(sl[1:], 1)
+			xs, err := nums(sl, 1, sl.Len(), 1)
 			if err != nil {
 				return nil, fmt.Errorf("label size: %v", err)
 			}
 			lb.Size = xs[0]
 		case "offset":
-			xs, err := nums(sl[1:], 2)
+			xs, err := nums(sl, 1, sl.Len(), 2)
 			if err != nil {
 				return nil, fmt.Errorf("label offset: %v", err)
 			}
@@ -647,11 +629,11 @@ func parseLabel(il al.List) (*schematic.Label, error) {
 	return lb, nil
 }
 
-func parseConn(il al.List) (*schematic.Connector, error) {
-	if len(il) < 3 {
+func parseConn(il al.Node) (*schematic.Connector, error) {
+	if il.Len() < 3 {
 		return nil, fmt.Errorf("conn wants kind and name")
 	}
-	kname, err := symOrStr(il[1])
+	kname, err := symOrStr(il.Kid(1))
 	if err != nil {
 		return nil, fmt.Errorf("conn kind: %v", err)
 	}
@@ -659,40 +641,39 @@ func parseConn(il al.List) (*schematic.Connector, error) {
 	if err != nil {
 		return nil, err
 	}
-	cname, err := symOrStr(il[2])
+	cname, err := symOrStr(il.Kid(2))
 	if err != nil {
 		return nil, fmt.Errorf("conn name: %v", err)
 	}
 	cx := &schematic.Connector{Kind: kind, Name: cname}
-	for _, sub := range il[3:] {
-		sl, _ := sub.(al.List)
-		if len(sl) == 0 {
+	for sl := il.Kid(3); sl.Valid(); sl = sl.Next() {
+		if sl.Len() == 0 {
 			continue
 		}
-		sh, _ := sl[0].(al.Symbol)
+		sh, _ := sl.Kid(0).Sym()
 		switch sh {
 		case "at":
-			xs, err := nums(sl[1:], 2)
+			xs, err := nums(sl, 1, sl.Len(), 2)
 			if err != nil {
 				return nil, fmt.Errorf("conn at: %v", err)
 			}
 			cx.At = geom.Pt(xs[0], xs[1])
 		case "of":
-			if len(sl) != 4 {
+			if sl.Len() != 4 {
 				return nil, fmt.Errorf("conn of wants 3 parts")
 			}
-			lib, e1 := symOrStr(sl[1])
-			nm, e2 := symOrStr(sl[2])
-			vw, e3 := symOrStr(sl[3])
+			lib, e1 := symOrStr(sl.Kid(1))
+			nm, e2 := symOrStr(sl.Kid(2))
+			vw, e3 := symOrStr(sl.Kid(3))
 			if e1 != nil || e2 != nil || e3 != nil {
 				return nil, fmt.Errorf("conn of fields")
 			}
 			cx.Sym = schematic.SymbolKey{Lib: lib, Name: nm, View: vw}
 		case "orient":
-			if len(sl) != 2 {
+			if sl.Len() != 2 {
 				return nil, fmt.Errorf("conn orient wants a name")
 			}
-			oname, err := symOrStr(sl[1])
+			oname, err := symOrStr(sl.Kid(1))
 			if err != nil {
 				return nil, fmt.Errorf("conn orient: %v", err)
 			}
@@ -706,37 +687,36 @@ func parseConn(il al.List) (*schematic.Connector, error) {
 	return cx, nil
 }
 
-func parseText(il al.List) (*schematic.Text, error) {
-	if len(il) < 2 {
+func parseText(il al.Node) (*schematic.Text, error) {
+	if il.Len() < 2 {
 		return nil, fmt.Errorf("text needs a string")
 	}
 	tx := &schematic.Text{}
-	s, err := symOrStr(il[1])
+	s, err := symOrStr(il.Kid(1))
 	if err != nil {
 		return nil, fmt.Errorf("text: %v", err)
 	}
 	tx.S = s
-	for _, sub := range il[2:] {
-		sl, _ := sub.(al.List)
-		if len(sl) == 0 {
+	for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
+		if sl.Len() == 0 {
 			continue
 		}
-		sh, _ := sl[0].(al.Symbol)
+		sh, _ := sl.Kid(0).Sym()
 		switch sh {
 		case "at":
-			xs, err := nums(sl[1:], 2)
+			xs, err := nums(sl, 1, sl.Len(), 2)
 			if err != nil {
 				return nil, fmt.Errorf("text at: %v", err)
 			}
 			tx.At = geom.Pt(xs[0], xs[1])
 		case "size":
-			xs, err := nums(sl[1:], 1)
+			xs, err := nums(sl, 1, sl.Len(), 1)
 			if err != nil {
 				return nil, fmt.Errorf("text size: %v", err)
 			}
 			tx.SizePts = xs[0]
 		case "baseline":
-			xs, err := nums(sl[1:], 1)
+			xs, err := nums(sl, 1, sl.Len(), 1)
 			if err != nil {
 				return nil, fmt.Errorf("text baseline: %v", err)
 			}
@@ -746,77 +726,74 @@ func parseText(il al.List) (*schematic.Text, error) {
 	return tx, nil
 }
 
-func readProp(l al.List) (schematic.Property, error) {
+func readProp(l al.Node) (schematic.Property, error) {
 	var p schematic.Property
-	if len(l) < 3 {
+	if l.Len() < 3 {
 		return p, fmt.Errorf("prop wants name and value")
 	}
-	name, err := symOrStr(l[1])
+	name, err := symOrStr(l.Kid(1))
 	if err != nil {
 		return p, fmt.Errorf("prop name: %v", err)
 	}
-	val, err := symOrStr(l[2])
+	val, err := symOrStr(l.Kid(2))
 	if err != nil {
 		return p, fmt.Errorf("prop value: %v", err)
 	}
 	p.Name, p.Value = name, val
-	for _, sub := range l[3:] {
-		switch sv := sub.(type) {
-		case al.Symbol:
-			if sv == "visible" {
+	for sub := l.Kid(3); sub.Valid(); sub = sub.Next() {
+		if !sub.IsList() {
+			if sub.IsSym("visible") {
 				p.Visible = true
 			}
-		case al.List:
-			if len(sv) == 0 {
-				continue
+			continue
+		}
+		if sub.Len() == 0 {
+			continue
+		}
+		sh, _ := sub.Kid(0).Sym()
+		switch sh {
+		case "at":
+			xs, err := nums(sub, 1, sub.Len(), 2)
+			if err != nil {
+				return p, fmt.Errorf("prop at: %v", err)
 			}
-			sh, _ := sv[0].(al.Symbol)
-			switch sh {
-			case "at":
-				xs, err := nums(sv[1:], 2)
-				if err != nil {
-					return p, fmt.Errorf("prop at: %v", err)
-				}
-				p.At = geom.Pt(xs[0], xs[1])
-			case "size":
-				xs, err := nums(sv[1:], 1)
-				if err != nil {
-					return p, fmt.Errorf("prop size: %v", err)
-				}
-				p.Size = xs[0]
+			p.At = geom.Pt(xs[0], xs[1])
+		case "size":
+			xs, err := nums(sub, 1, sub.Len(), 1)
+			if err != nil {
+				return p, fmt.Errorf("prop size: %v", err)
 			}
+			p.Size = xs[0]
 		}
 	}
 	return p, nil
 }
 
-func isSym(v al.Value, s string) bool {
-	sym, ok := v.(al.Symbol)
-	return ok && string(sym) == s
+func symOrStr(n al.Node) (string, error) {
+	if s, ok := n.Sym(); ok {
+		return s, nil
+	}
+	if s, ok := n.Str(); ok {
+		return s, nil
+	}
+	if v, ok := n.Num(); ok {
+		return al.Num(v).Repr(), nil
+	}
+	return "", fmt.Errorf("expected name, got %s", n.Repr())
 }
 
-func symOrStr(v al.Value) (string, error) {
-	switch x := v.(type) {
-	case al.Symbol:
-		return string(x), nil
-	case al.Str:
-		return string(x), nil
-	case al.Num:
-		return x.Repr(), nil
-	default:
-		return "", fmt.Errorf("expected name, got %s", v.Repr())
+// nums decodes elements [from, to) of list l as exactly want (at most 4)
+// integers.
+func nums(l al.Node, from, to, want int) ([4]int, error) {
+	var out [4]int
+	if to-from != want {
+		return out, fmt.Errorf("want %d numbers, got %d", want, to-from)
 	}
-}
-
-func nums(vs []al.Value, n int) ([]int, error) {
-	if len(vs) != n {
-		return nil, fmt.Errorf("want %d numbers, got %d", n, len(vs))
-	}
-	out := make([]int, n)
-	for i, v := range vs {
-		num, ok := v.(al.Num)
+	k := l.Kid(from)
+	for i := 0; i < want; i, k = i+1, k.Next() {
+		num, ok := k.Num()
 		if !ok {
-			return nil, fmt.Errorf("not a number: %s", v.Repr())
+			return out, fmt.Errorf("not a number: %s", k.Repr())
 		}
 		out[i] = int(num)
 	}

@@ -77,6 +77,7 @@ func ReadStreamStats(r io.Reader, opts ReadOptions) (*schematic.Design, []diag.D
 type cdStream struct {
 	rd *cdReader
 	sc *al.Scanner
+	ix al.Index // the current record; its node storage is reused
 
 	designPos  diag.Pos // position of the (design ...) open, captured eagerly
 	missing    bool     // first form parsed but is not a usable (design ...) form
@@ -134,7 +135,7 @@ func (st *cdStream) run(lint bool) (*schematic.Design, error) {
 		// Some other toplevel form: it only matters for the form count
 		// (and, if it is the first, for the missing-design position).
 		pos := rd.posAt(off)
-		if _, _, err := sc.ReadForm(); err != nil {
+		if _, err := sc.ReadIndexed(&st.ix); err != nil {
 			if rd.col.Mode == diag.Strict {
 				return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
 			}
@@ -188,7 +189,7 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 		st.missingPos = st.designPos
 		return nil, nil
 	}
-	nameV, namePT, err := sc.ReadForm()
+	nameN, err := sc.ReadIndexed(&st.ix)
 	if err != nil {
 		if aerr := st.recordParseErr(openOff, err); aerr != nil {
 			return nil, aerr
@@ -196,10 +197,10 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 		sc.SkipToClose()
 		return nil, nil
 	}
-	name, err := symOrStr(nameV)
+	name, err := symOrStr(nameN)
 	if err != nil {
 		// The buffered reader bails out of the whole form on a bad name.
-		if aerr := rd.col.Errorf("record", rd.pos(namePT), "design name: %v", err); aerr != nil {
+		if aerr := rd.col.Errorf("record", rd.pos(nameN), "design name: %v", err); aerr != nil {
 			return nil, aerr
 		}
 		sc.SkipToClose()
@@ -236,7 +237,7 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 				}
 			}
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			if aerr := st.recordParseErr(off, err); aerr != nil {
 				return nil, aerr
@@ -244,7 +245,7 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readDesignItem(d, v, pt); aerr != nil {
+		if aerr := rd.readDesignItem(d, n); aerr != nil {
 			return nil, aerr
 		}
 		sc.Compact()
@@ -269,7 +270,7 @@ func (st *cdStream) walkLibrary(d *schematic.Design, openOff int) error {
 		sc.Next()
 		return rd.col.Errorf("record", openPos, "library needs a name")
 	}
-	nameV, namePT, err := sc.ReadForm()
+	nameN, err := sc.ReadIndexed(&st.ix)
 	if err != nil {
 		if aerr := st.recordParseErr(openOff, err); aerr != nil {
 			return aerr
@@ -277,10 +278,10 @@ func (st *cdStream) walkLibrary(d *schematic.Design, openOff int) error {
 		sc.SkipToClose()
 		return nil
 	}
-	name, err := symOrStr(nameV)
+	name, err := symOrStr(nameN)
 	if err != nil {
 		// The buffered reader skips the whole library on a bad name.
-		if aerr := rd.col.Errorf("record", rd.pos(namePT), "library name: %v", err); aerr != nil {
+		if aerr := rd.col.Errorf("record", rd.pos(nameN), "library name: %v", err); aerr != nil {
 			return aerr
 		}
 		sc.SkipToClose()
@@ -299,7 +300,7 @@ func (st *cdStream) walkLibrary(d *schematic.Design, openOff int) error {
 			sc.Next()
 			return nil
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			if aerr := st.recordParseErr(off, err); aerr != nil {
 				return aerr
@@ -307,7 +308,7 @@ func (st *cdStream) walkLibrary(d *schematic.Design, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readLibraryItem(lib, v, pt); aerr != nil {
+		if aerr := rd.readLibraryItem(lib, n); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -332,7 +333,7 @@ func (st *cdStream) walkCell(d *schematic.Design, openOff int) error {
 		sc.Next()
 		return rd.col.Errorf("record", openPos, "cell needs a name")
 	}
-	nameV, namePT, err := sc.ReadForm()
+	nameN, err := sc.ReadIndexed(&st.ix)
 	if err != nil {
 		if aerr := st.recordParseErr(openOff, err); aerr != nil {
 			return aerr
@@ -340,9 +341,9 @@ func (st *cdStream) walkCell(d *schematic.Design, openOff int) error {
 		sc.SkipToClose()
 		return nil
 	}
-	name, err := symOrStr(nameV)
+	name, err := symOrStr(nameN)
 	if err != nil {
-		if aerr := rd.col.Errorf("record", rd.pos(namePT), "cell name: %v", err); aerr != nil {
+		if aerr := rd.col.Errorf("record", rd.pos(nameN), "cell name: %v", err); aerr != nil {
 			return aerr
 		}
 		sc.SkipToClose()
@@ -377,7 +378,7 @@ func (st *cdStream) walkCell(d *schematic.Design, openOff int) error {
 				continue
 			}
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			if aerr := st.recordParseErr(off, err); aerr != nil {
 				return aerr
@@ -385,7 +386,7 @@ func (st *cdStream) walkCell(d *schematic.Design, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readCellItem(cell, v, pt); aerr != nil {
+		if aerr := rd.readCellItem(cell, n); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -430,15 +431,15 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 		cell.AddPage(size)
 		return nil
 	}
-	v, pt, err := sc.ReadForm()
+	n, err := sc.ReadIndexed(&st.ix)
 	if err != nil {
 		if aerr := st.recordParseErr(off, err); aerr != nil {
 			return aerr
 		}
-	} else if sl, ok := v.(al.List); ok && len(sl) == 5 && isSym(sl[0], "size") {
-		xs, nerr := nums(sl[1:], 4)
+	} else if n.Len() == 5 && n.Kid(0).IsSym("size") {
+		xs, nerr := nums(n, 1, 5, 4)
 		if nerr != nil {
-			if aerr := rd.col.Errorf("record", rd.pos(pt), "page size: %v", nerr); aerr != nil {
+			if aerr := rd.col.Errorf("record", rd.pos(n), "page size: %v", nerr); aerr != nil {
 				return aerr
 			}
 		} else {
@@ -446,7 +447,7 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 		}
 	} else {
 		pg = cell.AddPage(size)
-		if aerr := rd.readPageItem(pg, v, pt); aerr != nil {
+		if aerr := rd.readPageItem(pg, n); aerr != nil {
 			return aerr
 		}
 	}
@@ -466,7 +467,7 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 			sc.Next()
 			return nil
 		}
-		v, pt, err := sc.ReadForm()
+		n, err := sc.ReadIndexed(&st.ix)
 		if err != nil {
 			// Record-boundary recovery: the damaged record is skipped and
 			// everything after it is salvaged.
@@ -476,7 +477,7 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readPageItem(pg, v, pt); aerr != nil {
+		if aerr := rd.readPageItem(pg, n); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -484,7 +485,7 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 }
 
 // recordParseErr mirrors the buffered reader's handling of a parse error:
-// strict reports at NoPos, as the ParseTracked caller does, and aborts;
+// strict reports at NoPos, as the buffered reader does, and aborts;
 // lenient reports at the record's start and resynchronizes the scanner
 // past the damaged record.
 func (st *cdStream) recordParseErr(off int, err error) error {
@@ -500,7 +501,7 @@ func (st *cdStream) recordParseErr(off int, err error) error {
 
 // unterminated reports end of input inside an open form, with the message
 // the whole-input parse produces for the innermost unclosed list. The
-// lenient position is the toplevel form start, as ParseRecover reports.
+// lenient position is the toplevel form start, as the buffered recovery reports.
 func (st *cdStream) unterminated(openOff int) error {
 	err := fmt.Errorf("%w: offset %d: unterminated list", al.ErrParse, openOff)
 	if st.rd.col.Mode == diag.Strict {

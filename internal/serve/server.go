@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -227,9 +228,10 @@ func post[R deadlined](s *Server, ep string, run func(context.Context, *bytes.Bu
 		s.count(ep, "requests")
 		var req R
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-				s.finishReq(ep, http.StatusBadRequest)
+			if status, err := decodeRequest(w, r, &req); err != nil {
+				http.Error(w, "bad request: "+err.Error(), status)
+				s.count(ep, "bad_request")
+				s.finishReq(ep, status)
 				return
 			}
 		}
@@ -278,6 +280,33 @@ func post[R deadlined](s *Server, ep string, run func(context.Context, *bytes.Bu
 	}
 }
 
+// maxRequestBody caps a request body. Bodies carry engine parameters,
+// never file content, so 1 MiB is far above any legitimate request.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes exactly one JSON object from the body into req,
+// refusing a body over maxRequestBody (413), a field req does not define
+// — a misspelled deadline_msx must not be silently ignored — and any data
+// after the object (400).
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(req)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = terr
+			if !errors.As(terr, &tooBig) {
+				err = errors.New("data after the JSON object")
+			}
+		}
+	}
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body over %d bytes", maxRequestBody)
+	}
+	return http.StatusBadRequest, err
+}
+
 // retryAfter derives the shed response's Retry-After seconds from the
 // current overload depth: one second per full worker-budget's worth of
 // work already admitted or queued ahead, so clients back off
@@ -301,7 +330,7 @@ func requestDeadline(overrideMS int64, def time.Duration) time.Duration {
 }
 
 // count bumps the endpoint-scoped and server-global counters for one
-// outcome kind (requests, served, shed, timeout, errors).
+// outcome kind (requests, served, bad_request, shed, timeout, errors).
 func (s *Server) count(ep, kind string) {
 	s.reg.Counter("serve." + kind).Inc()
 	s.reg.Counter("serve." + ep + "." + kind).Inc()

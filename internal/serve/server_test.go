@@ -334,6 +334,47 @@ func TestBadMethodAndBadJSON(t *testing.T) {
 	}
 }
 
+// TestRequestDecodeRefusals: an oversized body, an unknown field and
+// data after the JSON object are each refused before admission, counted
+// under the endpoint, logged, and leave the daemon serving.
+func TestRequestDecodeRefusals(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	cases := []struct {
+		name   string
+		body   string
+		status int
+		msg    string
+	}{
+		{"oversized", `{"blocks":2,"faults":"` + strings.Repeat("x", maxRequestBody) + `"}`, http.StatusRequestEntityTooLarge, "body over"},
+		{"unknown-field", `{"blocks":2,"deadline_msx":5}`, http.StatusBadRequest, "deadline_msx"},
+		{"trailing-data", `{"blocks":2} {"blocks":3}`, http.StatusBadRequest, "data after the JSON object"},
+		{"trailing-garbage", `{"blocks":2}]`, http.StatusBadRequest, "data after the JSON object"},
+	}
+	for _, c := range cases {
+		status, _, raw := postJSON(t, ts.URL+"/v1/flow", c.body)
+		if status != c.status || !strings.Contains(raw, c.msg) {
+			t.Errorf("%s: status %d body %q, want %d containing %q", c.name, status, raw, c.status, c.msg)
+		}
+	}
+	reg := s.Metrics()
+	if got := reg.Counter("serve.flow.bad_request").Value(); got != int64(len(cases)) {
+		t.Errorf("serve.flow.bad_request = %d, want %d", got, len(cases))
+	}
+	if got := reg.Counter("serve.flow.served").Value(); got != 0 {
+		t.Errorf("a refused request was served: serve.flow.served = %d", got)
+	}
+	for i, e := range s.Requests() {
+		if e.Status != cases[i].status {
+			t.Errorf("log entry %d: status %d, want %d", e.ID, e.Status, cases[i].status)
+		}
+	}
+	// The daemon is still up: a well-formed request is served, and
+	// whitespace after the object is not trailing data.
+	if status, resp, raw := postJSON(t, ts.URL+"/v1/flow", "{\"blocks\":2}\n"); status != http.StatusOK || resp.Exit != 0 {
+		t.Fatalf("valid request after refusals: %d %s", status, raw)
+	}
+}
+
 func TestDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheMem: true})
 	if status, _, raw := postJSON(t, ts.URL+"/v1/flow", `{"blocks":2}`); status != http.StatusOK {
