@@ -1,12 +1,10 @@
 package route
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"cadinterop/internal/geom"
-	"cadinterop/internal/netlist"
 	"cadinterop/internal/phys"
 )
 
@@ -49,56 +47,6 @@ func TestShardMapGeometry(t *testing.T) {
 	if m := newShardMap(100, 1, 4); m.s != 1 {
 		t.Errorf("clamped s = %d, want 1", m.s)
 	}
-}
-
-// seamChain builds a six-buffer chain on a 400×200 die placed so that, at
-// pitch 5 with a 2×2 shard map (seams at grid x=40 / DBU 200 and grid y=20
-// / DBU 100), net n3 straddles the vertical seam and net n5 crosses both
-// seams: u0..u4 sit in one row with a gap over the seam, u5 in a second
-// row past the horizontal seam.
-func seamChain(t testing.TB) *phys.Design {
-	t.Helper()
-	tech := phys.Tech{
-		Name: "t",
-		Layers: []phys.Layer{
-			{Name: "M1", Dir: phys.Horizontal, Pitch: 10, MinWidth: 4, MinSpace: 4},
-			{Name: "M2", Dir: phys.Vertical, Pitch: 10, MinWidth: 4, MinSpace: 4},
-		},
-		SiteWidth: 10, SiteHeight: 20,
-	}
-	lib := phys.NewLibrary(tech)
-	lib.AddMacro(&phys.Macro{
-		Name: "BUF", Size: geom.Pt(40, 20), Site: "core",
-		Pins: []*phys.Pin{
-			{Name: "A", Dir: netlist.Input, Shapes: []phys.Shape{{Layer: "M1", Rect: geom.R(0, 8, 4, 12)}}, Access: phys.AccessWest},
-			{Name: "Y", Dir: netlist.Output, Shapes: []phys.Shape{{Layer: "M1", Rect: geom.R(36, 8, 40, 12)}}, Access: phys.AccessEast},
-		},
-	})
-	nl := netlist.New()
-	buf := mustCell(nl, "BUF")
-	buf.Primitive = true
-	buf.AddPort("A", netlist.Input)
-	buf.AddPort("Y", netlist.Output)
-	top := mustCell(nl, "chip")
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("u%d", i)
-		top.AddInstance(name, "BUF")
-		top.Connect(name, "A", fmt.Sprintf("n%d", i))
-		top.Connect(name, "Y", fmt.Sprintf("n%d", i+1))
-	}
-	nl.Top = "chip"
-	d, err := phys.NewDesign("chip", geom.R(0, 0, 400, 200), lib, nl, "chip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pos := range []geom.Point{
-		{X: 10, Y: 40}, {X: 80, Y: 40}, {X: 130, Y: 40}, // row 0
-		{X: 215, Y: 40}, {X: 285, Y: 40}, // row 0: u2.Y→u3.A jumps DBU 200
-		{X: 130, Y: 120}, // row 1: u4.Y→u5.A crosses both seams
-	} {
-		d.Placements[fmt.Sprintf("u%d", i)] = phys.Placement{Pos: pos}
-	}
-	return d
 }
 
 // netCellBox computes a net's pin bounding box in grid cells the same way
