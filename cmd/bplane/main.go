@@ -41,7 +41,7 @@ func main() {
 	flag.StringVar(&cfg.tool, "tool", "", "run only one tool dialect (toolP|toolQ|toolR)")
 	flag.BoolVar(&cfg.printLoss, "loss", false, "print the full loss report")
 	flag.IntVar(&cfg.jobs, "j", 0, "worker count (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.shards, "shards", 0, "split each flow's routing grid into shards×shards regions for batch formation (0/1 = single region); routed output is identical at any setting")
+	flag.IntVar(&cfg.shards, "shards", 0, "with -check: group the file list into this many contiguous work shards per scheduling unit (0 = one per file)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write the span trace to this file (.json = Chrome trace, .jsonl = JSON lines, else text tree)")
 	flag.StringVar(&cfg.metricsFile, "metrics", "", "write the metrics registry to this file as text")
 	flag.BoolVar(&cfg.roundTrip, "roundtrip", false, "gate each dialect's flow on an exchange round-trip integrity check")
@@ -120,7 +120,7 @@ func run(cfg config) error {
 	}
 	req := serve.TranslateRequest{
 		Cells: cfg.cells, Seed: cfg.seed, Tool: cfg.tool, Loss: cfg.printLoss,
-		Jobs: cfg.jobs, Shards: cfg.shards, RoundTrip: cfg.roundTrip,
+		Jobs: cfg.jobs, RoundTrip: cfg.roundTrip,
 	}
 	err = serve.Translate(context.Background(), os.Stdout, req, rec, cache)
 	if err != nil && !cfg.roundTrip {

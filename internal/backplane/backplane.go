@@ -337,11 +337,9 @@ func FullRules(fp *floorplan.Floorplan) map[string]route.Rule {
 }
 
 // RunFlow places and routes the design using ONE tool's translated
-// constraints, then audits against the full floorplan intent. Options
-// bound the router's internal worker pool (par.Workers(1) forces the
-// fully-serial reference flow).
-func RunFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64, opts ...par.Option) (*FlowResult, error) {
-	return runFlow(d, fp, tool, seed, nil, 0, nil, opts...)
+// constraints, then audits against the full floorplan intent.
+func RunFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64) (*FlowResult, error) {
+	return runFlow(d, fp, tool, seed, nil, 0, nil)
 }
 
 // runFlow is RunFlow with tracing: each stage of the tool's flow —
@@ -349,7 +347,7 @@ func RunFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 // rec, annotated with the stage's headline numbers, and the router's
 // counters land in reg. All three observability arguments may be nil.
 func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64,
-	rec *obs.Recorder, parent obs.SpanID, reg *obs.Registry, opts ...par.Option) (*FlowResult, error) {
+	rec *obs.Recorder, parent obs.SpanID, reg *obs.Registry) (*FlowResult, error) {
 	// Every actual tool execution counts here — a warm cache hit in
 	// RunFlowsObserved never reaches this function, so the counter is the
 	// ground truth for "did any tool really run".
@@ -373,8 +371,6 @@ func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 		Pitch:    5, // half the layer pitch: room for width/spacing rules
 		Rules:    in.RouteRules,
 		Keepouts: in.Keepouts,
-		Workers:  par.N(opts...),
-		Shards:   par.ShardsN(opts...),
 		Metrics:  reg,
 	})
 	if err != nil {
@@ -487,7 +483,7 @@ func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), to
 				}
 			}
 		}
-		res, err := runFlow(d, fp, tools[i], seed, crec, sp, reg, opts...)
+		res, err := runFlow(d, fp, tools[i], seed, crec, sp, reg)
 		if err != nil {
 			crec.Attr(sp, "state", "failed")
 			crec.End(sp)

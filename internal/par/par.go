@@ -26,7 +26,6 @@ import (
 // cfg carries resolved options.
 type cfg struct {
 	workers int
-	shards  int
 	reg     *obs.Registry
 	cache   *memo.Cache
 }
@@ -53,8 +52,8 @@ func Workers(n int) Option {
 }
 
 // N reports the worker count the options resolve to (GOMAXPROCS when
-// unset), for callers that forward it into a plain configuration field
-// such as route.Options.Workers instead of spawning workers themselves.
+// unset), for callers that size their own work from it instead of
+// spawning workers through this package.
 func N(opts ...Option) int {
 	c := cfg{}
 	for _, o := range opts {
@@ -66,20 +65,9 @@ func N(opts ...Option) int {
 	return c.workers
 }
 
-// Shards records an advisory domain-decomposition hint: how many regions
-// or work groups a spatial consumer — the sharded router's region grid,
-// filecheck's work-list grouping — should split its domain into. The pool
-// primitives in this package ignore it; it rides the option list so entry
-// points can thread one knob set (workers + shards) through call chains
-// that end in a configuration struct such as route.Options. 0 (the
-// default) lets each consumer pick its own decomposition.
-func Shards(n int) Option {
-	return func(c *cfg) { c.shards = n }
-}
-
 // Cache attaches a content-addressed result cache (see internal/memo) to
-// the option list. Like Shards, the pool primitives ignore it; it rides
-// the option list so entry points can hand one knob set to call chains —
+// the option list. The pool primitives ignore it; it rides the option
+// list so entry points can hand one knob set to call chains —
 // the backplane's per-tool memoization, migrate's translation cache —
 // that consult it via CacheOf. A nil cache (and the default) disables
 // memoization: every consumer treats Get/Put on a nil *memo.Cache as a
@@ -95,18 +83,6 @@ func CacheOf(opts ...Option) *memo.Cache {
 		o(&c)
 	}
 	return c.cache
-}
-
-// ShardsN reports the shard hint the options resolve to (0 when unset).
-func ShardsN(opts ...Option) int {
-	c := cfg{}
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.shards < 0 {
-		return 0
-	}
-	return c.shards
 }
 
 // resolve applies options and clamps the worker count to the job size.

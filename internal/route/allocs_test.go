@@ -63,24 +63,3 @@ func TestInternGrowAllocs(t *testing.T) {
 		t.Errorf("grown intern table allocates %.2f objects per name (%.0f total), want <= 4.5", perName, avg)
 	}
 }
-
-// TestSpecViewAllocs: leasing, using and returning a speculative view must
-// not allocate once the pool is warm — overlays and read footprints are
-// epoch-reset, not rebuilt.
-func TestSpecViewAllocs(t *testing.T) {
-	g := NewGrid(geom.R(0, 0, 400, 400), 10)
-	sig := g.tab.intern("n")
-	v0 := newSpecView(g) // warm the pool
-	g.putView(v0)
-	avg := testing.AllocsPerRun(100, func() {
-		v := newSpecView(g)
-		v.set(0, 3, 3, sig)
-		if v.owner(0, 3, 3) != sig || v.owner(1, 7, 7) != cellEmpty {
-			t.Fatal("spec view misbehaved")
-		}
-		g.putView(v)
-	})
-	if avg > 1 {
-		t.Errorf("spec view lease/use/return allocates %.1f objects, want ~0", avg)
-	}
-}

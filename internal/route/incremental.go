@@ -41,13 +41,14 @@ import (
 //     provably identical in a full rerun, so its paths, shields and halos
 //     replay verbatim — they are simply kept in place on a cloned grid.
 //   - Dirty nets are erased from the cloned grid (interned IDs make this a
-//     flat slab scan) and rerouted serially in the new canonical order on
-//     a recording view. If a search reads a cell owned by a net that
-//     routes later in canonical order — state a full run would not have
-//     produced yet — that net is ripped up too and the replay retries.
-//     Workers/Shards are ignored on this path: full Route is
-//     byte-identical at every setting, so the serial replay matches all
-//     of them.
+//     flat slab scan) and rerouted serially in the new canonical order,
+//     exactly as Route routes them. If a rerouted net's read box — its
+//     new probe box expanded by the rule margin — holds a committed cell
+//     of a net that routes later in canonical order (state a full run
+//     would not have produced yet), that net is ripped up too and the
+//     replay retries. The box bounds every cell the search could have
+//     read, so the check is conservative: it may rip up a net the search
+//     never actually looked at, never the reverse.
 //   - After replay, a rerouted net's new write box must not touch the read
 //     box of any survivor positioned after it in the new order (such a
 //     survivor's search would have observed the new wires in a full
@@ -203,11 +204,12 @@ type orderedBox struct {
 // help.
 func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string, newPins map[string][]geom.Point, pos map[string]int, opts Options) (*Result, []string, string) {
 	g := prev.grid
-	// Share the previous grid's scratch/view pools: the clone has the same
+	// Share the previous grid's scratch pool: the clone has the same
 	// dimensions, and re-allocating O(grid) search scratch to reroute a
-	// handful of dirty nets would swamp the savings.
-	ng := &Grid{W: g.W, H: g.H, Pitch: g.Pitch, tab: g.tab.clone(),
-		plainBFS: opts.PlainBFS, pin: make([]bool, g.W*g.H), pools: g.pools}
+	// handful of dirty nets would swamp the savings. Pin flags and the
+	// near-pin mask start empty; reservePins rebuilds both.
+	ng := &Grid{W: g.W, H: g.H, Pitch: g.Pitch, tab: g.tab.clone(), plainBFS: opts.PlainBFS,
+		pin: make([]bool, g.W*g.H), near: make([]bool, g.W*g.H), scratch: g.scratch}
 	ng.own[0] = append([]int32(nil), g.own[0]...)
 	ng.own[1] = append([]int32(nil), g.own[1]...)
 	ng.observe(opts.Metrics)
@@ -269,20 +271,15 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 		res.setProbe(n, prev.probe[n])
 	}
 
-	// Reroute the dirty nets serially in new canonical order on recording
-	// views, committing each onto the live grid exactly as the speculative
-	// committer does.
+	// Reroute the dirty nets serially in new canonical order on the live
+	// grid, exactly as Route does.
 	var escalate []string
 	flagged := make(map[string]bool)
 	for _, net := range reroute {
-		sig := ng.tab.intern(net)
 		rule := normRule(opts.Rules[net])
-		v := newSpecView(ng)
-		paths, probe, err := netPaths(v, sig, newPins[net], rule)
-		if err != nil {
+		if err := routeNet(ng, res, net, ng.tab.intern(net), newPins[net], rule); err != nil {
 			// A blocking survivor queued for escalation may be the cause:
 			// prefer the retry over a hard fallback.
-			ng.putView(v)
 			if len(escalate) > 0 {
 				return nil, escalate, ""
 			}
@@ -291,22 +288,13 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 		// Order soundness: the rebuilt grid holds the final state of every
 		// surviving net, including ones that route after this net in
 		// canonical order. A full run would not have produced those cells
-		// yet, so any survivor this search observed across the order
-		// boundary must be ripped up too.
-		later, ok := laterNetsRead(ng, v.reads, pos, pos[net], flagged)
+		// yet, so any such net within this search's read box must be
+		// ripped up too.
+		later, ok := laterNetsIn(ng, probeReadBox(res.probe[net], rule), pos, pos[net], flagged)
 		if !ok {
-			ng.putView(v)
 			return nil, nil, "read-unknown-net"
 		}
 		escalate = append(escalate, later...)
-		commitSpec(ng, res, net, sig, newPins[net], &speculation{paths: paths, probe: probe, view: v}, rule)
-		ng.putView(v)
-		if len(res.Failed) > 0 {
-			if len(escalate) > 0 {
-				return nil, escalate, ""
-			}
-			return nil, nil, "reroute-failed"
-		}
 	}
 	if len(escalate) > 0 {
 		return nil, escalate, ""
@@ -341,12 +329,19 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 // rule's probe extent — width and spacing windows, the pin-adjacency
 // probe, the shield ring and a unit of slack.
 func (r *Result) readBox(net string, opts Options) geom.Rect {
-	rule := normRule(opts.Rules[net])
 	b, ok := r.probe[net]
 	if !ok {
 		b = pointsBox(r.pins[net])
 	}
-	return b.Union(pointsBox(r.pins[net])).Expand(rule.WidthTracks + rule.SpacingTracks + 4)
+	return probeReadBox(b.Union(pointsBox(r.pins[net])), opts.Rules[net])
+}
+
+// probeReadBox expands a probe box by the rule's probe extent — width and
+// spacing windows, the pin-adjacency probe, the shield ring and a unit of
+// slack — to bound every cell the searches behind it could have read.
+func probeReadBox(probe geom.Rect, r Rule) geom.Rect {
+	r = normRule(r)
+	return probe.Expand(r.WidthTracks + r.SpacingTracks + 4)
 }
 
 // writeBox bounds every cell net occupies in prev — pins, wires, width
@@ -419,32 +414,37 @@ func overlapsAny(boxes []geom.Rect, b geom.Rect) bool {
 	return false
 }
 
-// laterNetsRead collects the nets positioned after self in the new
-// canonical order whose committed cells (signal, shield or halo — pendings
-// exist from reservation time) any recorded fall-through read observed,
-// skipping nets already flagged. The bool is false when a read observed a
-// net absent from the new order entirely.
-func laterNetsRead(g *Grid, reads []int32, pos map[string]int, self int, flagged map[string]bool) ([]string, bool) {
+// laterNetsIn collects the nets positioned after self in the new
+// canonical order that own a committed cell (signal, shield or halo —
+// pendings exist from reservation time) inside box on either layer,
+// skipping nets already flagged. The bool is false when a cell belongs to
+// a net absent from the new order entirely.
+func laterNetsIn(g *Grid, box geom.Rect, pos map[string]int, self int, flagged map[string]bool) ([]string, bool) {
 	var later []string
-	lsize := g.W * g.H
-	for _, i := range reads {
-		l := int(i) / lsize
-		rest := int(i) % lsize
-		o := g.own[l][rest]
-		if !isNetCell(o) || cellKind(o) == kindPending {
-			continue
-		}
-		name := g.tab.strs[o>>2][0]
-		if flagged[name] {
-			continue
-		}
-		p, ok := pos[name]
-		if !ok {
-			return nil, false
-		}
-		if p > self {
-			flagged[name] = true
-			later = append(later, name)
+	x0, y0 := max(box.Min.X, 0), max(box.Min.Y, 0)
+	x1, y1 := min(box.Max.X, g.W-1), min(box.Max.Y, g.H-1)
+	if x0 > x1 {
+		return nil, true
+	}
+	for l := 0; l < 2; l++ {
+		for y := y0; y <= y1; y++ {
+			for _, o := range g.own[l][y*g.W+x0 : y*g.W+x1+1] {
+				if !isNetCell(o) || cellKind(o) == kindPending {
+					continue
+				}
+				name := g.tab.strs[o>>2][0]
+				if flagged[name] {
+					continue
+				}
+				p, ok := pos[name]
+				if !ok {
+					return nil, false
+				}
+				if p > self {
+					flagged[name] = true
+					later = append(later, name)
+				}
+			}
 		}
 	}
 	return later, true

@@ -3,8 +3,8 @@ package route
 // A retained copy of the pre-interning, string-keyed sequential router.
 // This is the reference implementation the interned-ID core is proven
 // against: refRoute must produce byte-identical results (segments,
-// wirelength, vias, failures, shield length, audit findings) to Route at
-// every worker count. It lives in a _test.go file so no dead code ships.
+// wirelength, vias, failures, shield length, audit findings) to Route. It
+// lives in a _test.go file so no dead code ships.
 
 import (
 	"fmt"

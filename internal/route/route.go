@@ -11,12 +11,11 @@ package route
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
+	"sync"
 
 	"cadinterop/internal/geom"
 	"cadinterop/internal/obs"
-	"cadinterop/internal/par"
 	"cadinterop/internal/phys"
 )
 
@@ -47,26 +46,13 @@ type Options struct {
 	// pin-adjacent cells cost the same as open fabric) — the ablation knob
 	// for the router's key design choice.
 	PlainBFS bool
-	// Workers bounds the speculative-search worker pool of the multi-pass
-	// rip-up loop. 0 means GOMAXPROCS; 1 forces the serial reference path.
-	// The routed result is byte-identical at every setting: parallel
-	// searches commit in canonical net order and any speculation invalidated
-	// by an earlier commit is recomputed on the live grid.
+	// Workers is ignored: every net routes serially on the live grid.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Workers int
-	// Shards splits the grid into Shards×Shards rectangular regions for
-	// speculative batch formation (shard.go): nets whose rule-expanded pin
-	// bounding box fits inside one region are admitted against that region
-	// alone, so large designs form bigger batches with cheaper admission
-	// checks. 0 or 1 disables sharding; it has no effect when Workers == 1.
-	// Sharding only changes how batches are formed — commits still follow
-	// canonical net order — so the routed result stays byte-identical to
-	// the sequential router at every Shards setting.
-	Shards int
 	// Metrics, when non-nil, receives router counters: nets routed/failed,
-	// rip-up passes, speculative commit/recompute outcomes, bfs searches and
-	// scratch-pool reuse. Counts tied to speculation scheduling (spec.*,
-	// bfs.*) vary with Workers; the routed result never does. Nil costs one
-	// nil check per increment (DESIGN.md §5f).
+	// rip-up passes, bfs searches and scratch-pool reuse. Nil costs one nil
+	// check per increment (DESIGN.md §5f).
 	Metrics *obs.Registry
 }
 
@@ -84,21 +70,15 @@ type Result struct {
 	Failed      []string
 	FailReasons []string
 	ShieldLen   int
-	// SpecCommitted / SpecRecomputed count speculative searches that
-	// committed verbatim vs. were invalidated by an earlier commit and
-	// recomputed; both stay 0 on the sequential path. Observability only:
-	// routed output never depends on them.
+	// SpecCommitted / SpecRecomputed are always 0: the router no longer
+	// speculates.
+	//
+	// Deprecated: kept only so existing callers compile.
 	SpecCommitted  int
 	SpecRecomputed int
-	// ShardInterior / ShardBoundary count batch admissions of nets whose
-	// rule-expanded pin box fit inside one shard region vs crossed a seam;
-	// both stay 0 unless Options.Shards > 1 and the parallel path runs.
-	// Observability only, and deterministic for fixed Options.
-	ShardInterior int
-	ShardBoundary int
 	// ReroutedNets lists, in canonical order, the nets RouteIncremental
 	// actually ripped up and rerouted; nil for a full Route. Observability
-	// only: excluded from the byte-identity bar like the counters above.
+	// only: excluded from the byte-identity bar.
 	ReroutedNets []string
 	// IncrementalFallback names the soundness condition that forced
 	// RouteIncremental down the full-Route path ("" = the incremental path
@@ -134,22 +114,17 @@ type Grid struct {
 	tab   *internTable
 	own   [2][]int32
 	pin   []bool // pin landing cells (both layers), exempt from spacing
+	// near marks pin cells and their 4-neighbours: the cells the search's
+	// pin-adjacency cost applies to. reservePins fills it with pin.
+	near []bool
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
-	// Speculative-commit write recording (armRecording in scratch.go):
-	// while armed, every in-bounds set stamps its cell so the committer of
-	// a speculative batch can invalidate later speculations whose searches
-	// read those cells.
-	recording   bool
-	recordEpoch uint32
-	recordStamp []uint32
-	// Pools of search scratch and speculative views sized for this grid;
-	// steady-state routing leases and returns the same buffers instead of
-	// allocating per net (DESIGN.md §5c). Held by pointer so the
-	// incremental replay's same-sized clone can share its source grid's
-	// warm pool instead of re-allocating O(grid) scratch for a handful of
-	// dirty nets.
-	pools *gridPools
+	// scratch pools bfs state sized for this grid; steady-state routing
+	// leases and returns the same buffers instead of allocating per search
+	// (DESIGN.md §5c). Held by pointer so the incremental replay's
+	// same-sized clone shares its source grid's warm pool instead of
+	// re-allocating O(grid) scratch for a handful of dirty nets.
+	scratch *sync.Pool
 	// Pre-resolved search counters (nil when Options.Metrics is unset).
 	mSearches     *obs.Counter
 	mScratchReuse *obs.Counter
@@ -166,7 +141,7 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 	w := die.Dx()/pitch + 1
 	h := die.Dy()/pitch + 1
 	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]bool, w*h),
-		pools: &gridPools{}}
+		near: make([]bool, w*h), scratch: &sync.Pool{}}
 	for l := 0; l < 2; l++ {
 		g.own[l] = make([]int32, w*h)
 	}
@@ -201,27 +176,7 @@ func (g *Grid) set(layer, x, y int, id int32) {
 	if x < 0 || y < 0 || x >= g.W || y >= g.H {
 		return
 	}
-	if g.recording {
-		g.recordStamp[(layer*g.H+y)*g.W+x] = g.recordEpoch
-	}
 	g.own[layer][y*g.W+x] = id
-}
-
-func (g *Grid) size() (int, int) { return g.W, g.H }
-func (g *Grid) plain() bool      { return g.plainBFS }
-func (g *Grid) base() *Grid      { return g }
-
-// fabric is the grid surface the search phase runs against: the live Grid
-// during sequential routing and commits, or a specView during speculation.
-// All cell traffic is interned IDs; strings exist only at the package
-// boundary.
-type fabric interface {
-	owner(layer, x, y int) int32
-	set(layer, x, y int, id int32)
-	isPin(x, y int) bool
-	size() (w, h int)
-	plain() bool
-	base() *Grid
 }
 
 // Route connects every multi-pin net of the design's top cell.
@@ -229,45 +184,16 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 	if opts.Pitch <= 0 {
 		opts.Pitch = 10
 	}
-	g := NewGrid(d.Die, opts.Pitch)
-	g.plainBFS = opts.PlainBFS
-	g.observe(opts.Metrics)
-	// Block keepouts on both layers.
-	for _, ko := range opts.Keepouts {
-		x0 := (ko.Min.X - d.Die.Min.X) / opts.Pitch
-		y0 := (ko.Min.Y - d.Die.Min.Y) / opts.Pitch
-		// The max edge is exclusive: a cell starting exactly at Max lies
-		// outside the keepout.
-		x1 := gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch)
-		y1 := gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch)
-		for x := x0; x <= x1; x++ {
-			for y := y0; y <= y1; y++ {
-				g.set(0, x, y, cellBlocked)
-				g.set(1, x, y, cellBlocked)
-			}
-		}
+	netPins, err := gatherNetPins(d, opts)
+	if err != nil {
+		return nil, err
 	}
-
+	g := freshGrid(d, opts, netPins)
 	res := &Result{
 		Segments: make(map[string][]Segment),
 		grid:     g,
 		rules:    opts.Rules,
 	}
-
-	netPins, err := gatherNetPins(d, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pre-reserve every pin cell on both layers so no net can route
-	// through another net's landing pad. Reserved cells carry a pending
-	// marker ("?net"): foreign nets treat them as obstacles, the owning
-	// net may claim them, and they do not count as connected yet. The
-	// intern table is grown to final size first so the hot path never
-	// rehashes or reallocates it (allocs_test.go locks this in).
-	g.tab.grow(len(netPins))
-	reservePins(g, netPins)
-
 	nets := orderNets(netPins, opts)
 
 	routeAll(g, res, nets, netPins, opts)
@@ -387,10 +313,6 @@ func recordRouteMetrics(reg *obs.Registry, res *Result, nets, passes int) {
 	reg.Counter("route.nets.routed").Add(int64(nets - len(res.Failed)))
 	reg.Counter("route.nets.failed").Add(int64(len(res.Failed)))
 	reg.Counter("route.ripup.passes").Add(int64(passes))
-	reg.Counter("route.spec.committed").Add(int64(res.SpecCommitted))
-	reg.Counter("route.spec.recomputed").Add(int64(res.SpecRecomputed))
-	reg.Counter("route.shard.interior").Add(int64(res.ShardInterior))
-	reg.Counter("route.shard.boundary").Add(int64(res.ShardBoundary))
 }
 
 // reservePins marks pin landing cells and reserves them with the pending
@@ -404,7 +326,7 @@ func reservePins(g *Grid, netPins map[string][]geom.Point) {
 	for _, n := range names {
 		for _, p := range netPins[n] {
 			if p.X >= 0 && p.Y >= 0 && p.X < g.W && p.Y < g.H {
-				g.pin[p.Y*g.W+p.X] = true
+				g.markPin(p.X, p.Y)
 			}
 			// Pins live on the horizontal layer only; the layer above
 			// stays routable for through-traffic.
@@ -412,6 +334,26 @@ func reservePins(g *Grid, netPins map[string][]geom.Point) {
 				g.set(0, p.X, p.Y, g.tab.intern(n)|kindPending)
 			}
 		}
+	}
+}
+
+// markPin flags an in-bounds pin cell and sets the near-pin mask on it
+// and its in-bounds 4-neighbours.
+func (g *Grid) markPin(x, y int) {
+	i := y*g.W + x
+	g.pin[i] = true
+	g.near[i] = true
+	if x > 0 {
+		g.near[i-1] = true
+	}
+	if x < g.W-1 {
+		g.near[i+1] = true
+	}
+	if y > 0 {
+		g.near[i-g.W] = true
+	}
+	if y < g.H-1 {
+		g.near[i+g.W] = true
 	}
 }
 
@@ -438,141 +380,14 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes every net in order on the given fabric. With more than
-// one worker it speculates: a batch of upcoming nets with pairwise-disjoint
-// (rule-expanded) pin bounding boxes searches concurrently against the
-// current grid, then commits strictly in canonical net order; any
-// speculation whose read footprint overlaps a cell written by an earlier
-// commit of the same batch is discarded and recomputed on the live grid.
-// The routed result is therefore byte-identical to the sequential router's
-// at any worker count.
+// routeAll routes every net in order on the live grid and books failures.
 func routeAll(g *Grid, res *Result, order []string, netPins map[string][]geom.Point, opts Options) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(order) < 2 {
-		for _, net := range order {
-			routeOne(g, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net]))
-		}
-		return
-	}
-	// Region sharding: cheaper admission checks and a batch cap that grows
-	// with the region count, so large grids keep every worker fed.
-	batchCap := 4 * workers
-	var sm *shardMap
-	if opts.Shards > 1 {
-		sm = newShardMap(g.W, g.H, opts.Shards)
-		if c := sm.s * sm.s; c > batchCap {
-			batchCap = c
+	for _, net := range order {
+		if err := routeNet(g, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
+			res.Failed = append(res.Failed, net)
+			res.FailReasons = append(res.FailReasons, err.Error())
 		}
 	}
-	for start := 0; start < len(order); {
-		var batch []string
-		if sm != nil {
-			var ni, nb int
-			batch, ni, nb = sm.nextBatch(order[start:], netPins, opts, batchCap)
-			res.ShardInterior += ni
-			res.ShardBoundary += nb
-		} else {
-			batch = nextBatch(order[start:], netPins, opts, batchCap)
-		}
-		start += len(batch)
-		if len(batch) == 1 {
-			routeOne(g, res, batch[0], g.tab.intern(batch[0]), netPins[batch[0]], normRule(opts.Rules[batch[0]]))
-			continue
-		}
-		// Intern the whole batch before fanning out: the intern table is
-		// written only from the committer's goroutine.
-		sigs := make([]int32, len(batch))
-		for j, net := range batch {
-			sigs[j] = g.tab.intern(net)
-		}
-		specs := make([]*speculation, len(batch))
-		par.ForEach(len(batch), func(j int) error {
-			v := newSpecView(g)
-			net := batch[j]
-			paths, probe, err := netPaths(v, sigs[j], netPins[net], normRule(opts.Rules[net]))
-			specs[j] = &speculation{paths: paths, probe: probe, err: err, view: v}
-			return nil
-		}, par.Workers(workers))
-		g.armRecording()
-		for j, net := range batch {
-			rule := normRule(opts.Rules[net])
-			if sp := specs[j]; !g.conflictsWith(sp.view.reads) {
-				res.SpecCommitted++
-				commitSpec(g, res, net, sigs[j], netPins[net], sp, rule)
-			} else {
-				// Stale speculation: an earlier commit touched fabric this
-				// search observed. Recompute on the live grid — the slow
-				// path the sequential router always takes.
-				res.SpecRecomputed++
-				routeOne(g, res, net, sigs[j], netPins[net], rule)
-			}
-			g.putView(specs[j].view)
-		}
-		g.disarmRecording()
-	}
-}
-
-// routeOne routes a single net on the live grid and books failures.
-func routeOne(g *Grid, res *Result, net string, sig int32, pins []geom.Point, rule Rule) {
-	if err := routeNet(g, res, net, sig, pins, rule); err != nil {
-		res.Failed = append(res.Failed, net)
-		res.FailReasons = append(res.FailReasons, err.Error())
-	}
-}
-
-// speculation is one net's search run against a stale grid snapshot.
-type speculation struct {
-	paths [][]node
-	probe geom.Rect
-	err   error
-	view  *specView
-}
-
-// nextBatch returns the longest contiguous prefix (capped at max) of the
-// remaining order whose nets have pairwise-disjoint pin bounding boxes,
-// each expanded by the net's rule reach (width, spacing, shield) plus a
-// detour margin. Disjointness is only a speculation-success heuristic —
-// correctness comes from the committer's footprint check — but commits
-// must follow canonical order, so the batch stops at the first overlap.
-func nextBatch(rest []string, netPins map[string][]geom.Point, opts Options, max int) []string {
-	if max > len(rest) {
-		max = len(rest)
-	}
-	boxes := make([]geom.Rect, 0, max)
-	n := 0
-	for n < max {
-		r := normRule(opts.Rules[rest[n]])
-		box := pinBBox(netPins[rest[n]]).Expand(ruleMargin(r))
-		clash := false
-		for _, b := range boxes {
-			if box.Overlaps(b) {
-				clash = true
-				break
-			}
-		}
-		if clash {
-			break
-		}
-		boxes = append(boxes, box)
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return rest[:n]
-}
-
-// ruleMargin is the bounding-box expansion batch formation applies to a
-// net: detour slack plus the rule's reach (width, spacing, shield).
-func ruleMargin(r Rule) int {
-	m := 2 + r.WidthTracks + r.SpacingTracks
-	if r.Shield {
-		m++
-	}
-	return m
 }
 
 // pinBBox is the bounding box of a net's pins in grid coordinates.
@@ -593,40 +408,6 @@ func pinBBox(pins []geom.Point) geom.Rect {
 		}
 	}
 	return r
-}
-
-// commitSpec replays a clean speculation onto the live grid: the claims the
-// search made on its overlay land on real fabric in canonical order, then
-// shields and clearance halos grow exactly as the sequential router would
-// have grown them at this point in the order.
-func commitSpec(g *Grid, res *Result, net string, sig int32, pins []geom.Point, sp *speculation, rule Rule) {
-	pinRule := Rule{WidthTracks: 1}
-	claim(g, sig, node{0, pins[0].X, pins[0].Y}, pinRule)
-	for _, path := range sp.paths {
-		for i, n := range path {
-			switch {
-			case i == 0:
-				// success cell: already owned by the net
-			case i == len(path)-1:
-				claim(g, sig, n, pinRule)
-			default:
-				claim(g, sig, n, rule)
-			}
-		}
-	}
-	res.setProbe(net, sp.probe)
-	recordPaths(res, net, sp.paths)
-	if sp.err != nil {
-		res.Failed = append(res.Failed, net)
-		res.FailReasons = append(res.FailReasons, sp.err.Error())
-		return
-	}
-	if rule.Shield {
-		res.addShieldLen(net, addShields(g, sig))
-	}
-	if rule.SpacingTracks > 0 {
-		addHalo(g, sig, rule.SpacingTracks)
-	}
 }
 
 // promoteFailed moves failed nets to the front, preserving relative order
@@ -650,14 +431,23 @@ func promoteFailed(order, failed []string) []string {
 	return out
 }
 
-// freshGrid rebuilds the fabric with keepouts and pin reservations.
+// freshGrid builds the fabric with keepouts and pin reservations. Every
+// pin cell is pre-reserved so no net can route through another net's
+// landing pad: reserved cells carry a pending marker ("?net"), foreign
+// nets treat them as obstacles, the owning net may claim them, and they do
+// not count as connected yet. The intern table is grown to final size
+// first so the hot path never rehashes or reallocates it (allocs_test.go
+// locks this in).
 func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *Grid {
 	g := NewGrid(d.Die, opts.Pitch)
 	g.plainBFS = opts.PlainBFS
 	g.observe(opts.Metrics)
+	// Block keepouts on both layers.
 	for _, ko := range opts.Keepouts {
 		x0 := (ko.Min.X - d.Die.Min.X) / opts.Pitch
 		y0 := (ko.Min.Y - d.Die.Min.Y) / opts.Pitch
+		// The max edge is exclusive: a cell starting exactly at Max lies
+		// outside the keepout.
 		x1 := gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch)
 		y1 := gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch)
 		for x := x0; x <= x1; x++ {
@@ -732,24 +522,24 @@ func (res *Result) addShieldLen(net string, added int) {
 }
 
 // netPaths is the search phase of one net: seed the first pin, then maze-
-// route every remaining pin to the grown region, claiming cells on f as it
+// route every remaining pin to the grown region, claiming cells on g as it
 // goes. Paths found before an error are returned with it, so partial
 // progress can be replayed exactly. The second return is the net's probe
 // box: the union of the fabric regions its searches examined (see bfs),
 // seeded with the pin bounding box.
-func netPaths(f fabric, sig int32, pins []geom.Point, rule Rule) ([][]node, geom.Rect, error) {
+func netPaths(g *Grid, sig int32, pins []geom.Point, rule Rule) ([][]node, geom.Rect, error) {
 	// Seed: first pin on both layers. Pins claim at width 1 — the width
 	// rule governs wires; pad cells must not stomp on neighbors' halos.
 	seed := pins[0]
 	pinRule := Rule{WidthTracks: 1}
-	claim(f, sig, node{0, seed.X, seed.Y}, pinRule)
+	claim(g, sig, node{0, seed.X, seed.Y}, pinRule)
 	var paths [][]node
 	probe := pinBBox(pins)
 	for _, target := range pins[1:] {
-		if f.owner(0, target.X, target.Y) == sig {
+		if g.owner(0, target.X, target.Y) == sig {
 			continue // already on the net (shared pin cell)
 		}
-		path, box, err := bfs(f, sig, node{0, target.X, target.Y}, rule)
+		path, box, err := bfs(g, sig, node{0, target.X, target.Y}, rule)
 		probe = probe.Union(box)
 		if err != nil {
 			return paths, probe, err
@@ -763,9 +553,9 @@ func netPaths(f fabric, sig int32, pins []geom.Point, rule Rule) ([][]node, geom
 			case i == 0:
 				// already owned; no claim
 			case i == len(path)-1:
-				claim(f, sig, n, pinRule)
+				claim(g, sig, n, pinRule)
 			default:
-				claim(f, sig, n, rule)
+				claim(g, sig, n, rule)
 			}
 		}
 		paths = append(paths, path)
@@ -825,23 +615,24 @@ func addHalo(g *Grid, sig int32, dist int) {
 }
 
 // claim marks a cell (and its width expansion) as owned by net.
-func claim(f fabric, sig int32, n node, rule Rule) {
-	f.set(n.l, n.x, n.y, sig)
+func claim(g *Grid, sig int32, n node, rule Rule) {
+	g.set(n.l, n.x, n.y, sig)
 	// Width expansion perpendicular to the layer direction.
 	for w := 1; w < rule.WidthTracks; w++ {
 		if n.l == 0 {
-			f.set(n.l, n.x, n.y+w, sig)
+			g.set(n.l, n.x, n.y+w, sig)
 		} else {
-			f.set(n.l, n.x+w, n.y, sig)
+			g.set(n.l, n.x+w, n.y, sig)
 		}
 	}
 }
 
 // usable reports whether the net may occupy cell n under its rule: the
 // cell (and width expansion) must be free or already the net's own, and
-// the spacing clearance must hold against foreign nets.
-func usable(f fabric, sig int32, n node, rule Rule) bool {
-	w, h := f.size()
+// the spacing clearance must hold against foreign nets. Out-of-bounds
+// width cells are unusable; out-of-bounds spacing cells are neither pins
+// nor aggressors, so they are skipped.
+func usable(g *Grid, sig int32, n node, rule Rule) bool {
 	for i := 0; i < rule.WidthTracks; i++ {
 		c := n
 		if n.l == 0 {
@@ -849,16 +640,17 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 		} else {
 			c.x += i
 		}
-		if c.x < 0 || c.y < 0 || c.x >= w || c.y >= h {
+		if c.x < 0 || c.y < 0 || c.x >= g.W || c.y >= g.H {
 			return false
 		}
-		if o := f.owner(c.l, c.x, c.y); o != cellEmpty && !ownCell(o, sig) {
+		ci := c.y*g.W + c.x
+		if o := g.own[c.l][ci]; o != cellEmpty && !ownCell(o, sig) {
 			return false
 		}
 		// Spacing: foreign occupants within the clearance window fail.
 		// Pin landing pads are exempt — spacing rules govern parallel
 		// wires, not fixed pin geometry.
-		if f.isPin(c.x, c.y) {
+		if g.pin[ci] {
 			continue
 		}
 		for s := 1; s <= rule.SpacingTracks; s++ {
@@ -869,12 +661,16 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 				} else {
 					c2.x += d
 				}
-				if f.isPin(c2.x, c2.y) {
+				if c2.x < 0 || c2.y < 0 || c2.x >= g.W || c2.y >= g.H {
+					continue
+				}
+				i2 := c2.y*g.W + c2.x
+				if g.pin[i2] {
 					continue
 				}
 				// Spacing measures to real foreign wires; shields, halos
 				// and blockages are not aggressors.
-				if spacingAggressor(f.owner(c2.l, c2.x, c2.y), sig) {
+				if spacingAggressor(g.own[c2.l][i2], sig) {
 					return false
 				}
 			}
@@ -891,25 +687,25 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 // allocation per call is the returned path, which the caller retains.
 //
 // The second return is the probe box: the bounding box of every cell the
-// search examined, valid on success and failure alike. The search reads
-// fabric only at examined cells plus their width/spacing/near-pin windows,
-// so anything outside this box expanded by that rule margin cannot have
-// influenced the outcome. RouteIncremental uses the box to decide which
-// surviving nets a dirty region could re-decide; a cost-radius bound would
-// be hopelessly loose here because via and pin-adjacency penalties inflate
-// cost far beyond geometric distance.
-func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
+// search examined, out-of-bounds neighbours included, valid on success and
+// failure alike. The search reads fabric only at examined cells plus their
+// width/spacing/near-pin windows, so anything outside this box expanded by
+// that rule margin cannot have influenced the outcome. RouteIncremental
+// uses the box to decide which surviving nets a dirty region could
+// re-decide; a cost-radius bound would be hopelessly loose here because
+// via and pin-adjacency penalties inflate cost far beyond geometric
+// distance.
+func bfs(g *Grid, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 	probe := geom.Rect{Min: geom.Pt(from.x, from.y), Max: geom.Pt(from.x, from.y)}
 	// The pin landing needs only its own cell (width rules govern wires).
-	if !usable(f, sig, from, Rule{WidthTracks: 1}) {
-		return nil, probe, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, f.base().tab.decode(sig))
+	if !usable(g, sig, from, Rule{WidthTracks: 1}) {
+		return nil, probe, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.decode(sig))
 	}
 	viaCost, pinAdjCost := 3, 4
-	if f.plain() {
+	if g.plainBFS {
 		viaCost, pinAdjCost = 1, 0
 	}
-	g := f.base()
-	w, h := f.size()
+	w, h := g.W, g.H
 	lsize := w * h
 	sc := g.getScratch()
 	defer g.putScratch(sc)
@@ -929,8 +725,8 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 			if sc.dist[ci] != int32(d) {
 				continue // stale entry
 			}
-			cur := node{int(ci) / lsize, int(ci) % w, (int(ci) % lsize) / w}
-			if f.owner(cur.l, cur.x, cur.y) == sig {
+			cur := decodeCell(ci, w, lsize)
+			if g.own[cur.l][cur.y*w+cur.x] == sig {
 				// Reconstruct target-to-net order: count first, then fill,
 				// so the path is a single right-sized allocation.
 				steps := 1
@@ -940,7 +736,7 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 				path := make([]node, steps)
 				i := ci
 				for j := 0; ; j++ {
-					path[j] = node{int(i) / lsize, int(i) % w, (int(i) % lsize) / w}
+					path[j] = decodeCell(i, w, lsize)
 					p := sc.prev[i]
 					if p < 0 {
 						break
@@ -952,7 +748,8 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 			for t := 0; t < 3; t++ {
 				nb := neighbor(cur, t)
 				// Every examined neighbor is a fabric read — grow the probe
-				// box before any rejection (vias share x,y, so the box is 2D).
+				// box before any rejection, out-of-bounds neighbours
+				// included (vias share x,y, so the box is 2D).
 				if nb.x < probe.Min.X {
 					probe.Min.X = nb.x
 				} else if nb.x > probe.Max.X {
@@ -963,19 +760,23 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 				} else if nb.y > probe.Max.Y {
 					probe.Max.Y = nb.y
 				}
-				owner := f.owner(nb.l, nb.x, nb.y)
-				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && usable(f, sig, nb, rule)) {
+				if nb.x < 0 || nb.y < 0 || nb.x >= w || nb.y >= h {
+					continue // off the die: blocked
+				}
+				nbi := nb.y*w + nb.x
+				owner := g.own[nb.l][nbi]
+				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && usable(g, sig, nb, rule)) {
 					continue
 				}
 				step := 1
 				if nb.l != cur.l {
 					step = viaCost
 				}
-				if owner != sig && nearPin(f, nb) {
+				if owner != sig && g.near[nbi] {
 					step += pinAdjCost
 				}
 				nd := d + step
-				ni := int32(nb.l*lsize + nb.y*w + nb.x)
+				ni := int32(nb.l*lsize + nbi)
 				if sc.visited(ni) && int(sc.dist[ni]) <= nd {
 					continue
 				}
@@ -990,13 +791,15 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 	return nil, probe, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
 }
 
-// nearPin reports whether a cell is a pin pad or directly adjacent to one.
-func nearPin(f fabric, n node) bool {
-	if f.isPin(n.x, n.y) {
-		return true
+// decodeCell maps a flat search index (l*W*H + y*W + x) back to its node
+// with one compare and one division.
+func decodeCell(i int32, w, lsize int) node {
+	l, r := 0, int(i)
+	if r >= lsize {
+		l, r = 1, r-lsize
 	}
-	return f.isPin(n.x-1, n.y) || f.isPin(n.x+1, n.y) ||
-		f.isPin(n.x, n.y-1) || f.isPin(n.x, n.y+1)
+	y := r / w
+	return node{l, r - y*w, y}
 }
 
 // neighbor yields legal move t (0,1 = along the layer's direction, 2 =

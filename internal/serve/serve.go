@@ -59,7 +59,6 @@ type TranslateRequest struct {
 	Tool      string `json:"tool,omitempty"`
 	Loss      bool   `json:"loss,omitempty"`
 	Jobs      int    `json:"jobs,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	RoundTrip bool   `json:"roundtrip,omitempty"`
 	// DeadlineMS bounds this request's wall-clock service time (0 = the
 	// server default). Only the daemon reads it; the CLIs have no deadline.
@@ -112,7 +111,7 @@ func Translate(ctx context.Context, w io.Writer, req TranslateRequest, rec *obs.
 	// virtual clock; the children merge in tool order, so the trace is
 	// byte-identical at every worker count.
 	results, err := backplane.RunFlowsObserved(gen, tools, 5, req.RoundTrip, rec,
-		par.Workers(req.Jobs), par.Shards(req.Shards), par.Cache(cache))
+		par.Workers(req.Jobs), par.Cache(cache))
 	if err != nil && !req.RoundTrip {
 		return err
 	}

@@ -368,6 +368,11 @@ func TestRequestDecodeRefusals(t *testing.T) {
 			t.Errorf("log entry %d: status %d, want %d", e.ID, e.Status, cases[i].status)
 		}
 	}
+	// Translate bodies carry no routing-shard knob: "shards" is refused
+	// like any other unknown field.
+	if status, _, raw := postJSON(t, ts.URL+"/v1/translate", `{"shards":4}`); status != http.StatusBadRequest || !strings.Contains(raw, "shards") {
+		t.Errorf("translate with shards: status %d body %q, want 400 naming the field", status, raw)
+	}
 	// The daemon is still up: a well-formed request is served, and
 	// whitespace after the object is not trailing data.
 	if status, resp, raw := postJSON(t, ts.URL+"/v1/flow", "{\"blocks\":2}\n"); status != http.StatusOK || resp.Exit != 0 {
