@@ -60,7 +60,7 @@ race:
 # the router's and the sim kernel's steady-state hot paths at ~zero
 # allocations (DESIGN.md §5c), the memo cache's hit path, and the
 # s-expression readers: al's flat index at zero allocations per atom,
-# exchange at ≤ 20 allocations per net (buffered and streaming) and cd at
+# exchange at ≤ 20 allocations per net (ReadBytes and ReadStream) and cd at
 # half the allocations per kB it spent building a value tree.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/exchange ./internal/schematic/cd ./internal/al

@@ -26,7 +26,6 @@ type config struct {
 	tool        string
 	printLoss   bool
 	jobs        int
-	shards      int
 	roundTrip   bool
 	traceFile   string
 	metricsFile string
@@ -41,7 +40,6 @@ func main() {
 	flag.StringVar(&cfg.tool, "tool", "", "run only one tool dialect (toolP|toolQ|toolR)")
 	flag.BoolVar(&cfg.printLoss, "loss", false, "print the full loss report")
 	flag.IntVar(&cfg.jobs, "j", 0, "worker count (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.shards, "shards", 0, "with -check: group the file list into this many contiguous work shards per scheduling unit (0 = one per file)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write the span trace to this file (.json = Chrome trace, .jsonl = JSON lines, else text tree)")
 	flag.StringVar(&cfg.metricsFile, "metrics", "", "write the metrics registry to this file as text")
 	flag.BoolVar(&cfg.roundTrip, "roundtrip", false, "gate each dialect's flow on an exchange round-trip integrity check")
@@ -51,7 +49,6 @@ func main() {
 		check   = flag.Bool("check", false, "vet the interchange files given as arguments (reader by extension) and exit")
 		strict  = flag.Bool("strict", true, "with -check: abort a file on its first error-severity diagnostic")
 		lenient = flag.Bool("lenient", false, "with -check: quarantine malformed records and keep parsing")
-		stream  = flag.Bool("stream", false, "with -check: vet via the streaming readers (bounded memory on large files; same verdicts)")
 	)
 	flag.Parse()
 	if *check {
@@ -59,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bplane: -check needs file arguments")
 			os.Exit(2)
 		}
-		if err := runCheck(cfg, flag.Args(), *lenient || !*strict, *stream); err != nil {
+		if err := runCheck(cfg, flag.Args(), *lenient || !*strict); err != nil {
 			fmt.Fprintln(os.Stderr, "bplane:", err)
 			os.Exit(1)
 		}
@@ -87,7 +84,7 @@ func openCache(cfg config, reg *obs.Registry) (*memo.Cache, error) {
 // the same registry -metrics is written from — the -check path used to
 // open the cache with a nil registry, which silently dropped memo.hits/
 // memo.misses in exactly the mode the CI cold-vs-warm gate audits.
-func runCheck(cfg config, files []string, lenient, stream bool) error {
+func runCheck(cfg config, files []string, lenient bool) error {
 	var rec *obs.Recorder
 	if cfg.metricsFile != "" {
 		rec = obs.New(nil)
@@ -96,7 +93,7 @@ func runCheck(cfg config, files []string, lenient, stream bool) error {
 	if cerr != nil {
 		return cerr
 	}
-	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs, Shards: cfg.shards, Stream: stream}
+	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs}
 	err := serve.Check(context.Background(), os.Stdout, req, cache)
 	if cfg.metricsFile != "" {
 		if werr := rec.WriteMetricsFile(cfg.metricsFile); werr != nil && err == nil {

@@ -29,8 +29,6 @@ func main() {
 		strict   = flag.Bool("strict", true, "with -check: abort a file on its first error-severity diagnostic")
 		lenient  = flag.Bool("lenient", false, "with -check: quarantine malformed records and keep parsing")
 		jobs     = flag.Int("j", 0, "with -check: worker count vetting files concurrently (0 = GOMAXPROCS, 1 = sequential); output is identical at any setting")
-		shards   = flag.Int("shards", 0, "with -check: group the file list into this many contiguous work shards per scheduling unit (0 = one per file)")
-		stream   = flag.Bool("stream", false, "with -check: vet via the streaming readers (bounded memory on large files; same verdicts)")
 		useCache = flag.Bool("cache", false, "with -check: memoize each file's verdict by content address (in memory)")
 		cacheDir = flag.String("cache-dir", "", "with -check: persist the verdict cache under this directory so repeat vets of unchanged files skip re-parsing (implies -cache)")
 	)
@@ -53,10 +51,7 @@ func main() {
 		} else if *useCache {
 			cache = memo.New(nil)
 		}
-		req := serve.CheckRequest{
-			Files: flag.Args(), Lenient: *lenient || !*strict,
-			Jobs: *jobs, Shards: *shards, Stream: *stream,
-		}
+		req := serve.CheckRequest{Files: flag.Args(), Lenient: *lenient || !*strict, Jobs: *jobs}
 		if err := serve.Check(context.Background(), os.Stdout, req, cache); err != nil {
 			fmt.Fprintln(os.Stderr, "interop:", err)
 			os.Exit(1)

@@ -75,13 +75,16 @@ func main() {
 	}
 }
 
-// Connection timeouts: a client that never finishes its request headers,
-// or parks an idle keep-alive connection, is disconnected instead of
-// holding a connection and its goroutine forever. They bound connection
-// setup and idle time only; engine time is bounded by request deadlines.
-// Variables rather than constants so tests can shorten them.
+// Connection timeouts: a client that never finishes its request headers
+// or its request body, or parks an idle keep-alive connection, is
+// disconnected instead of holding a connection and its goroutine forever.
+// They bound connection setup, request reading and idle time only: the
+// server clears the read deadline once the body is consumed, so engine
+// time is bounded by request deadlines alone. Variables rather than
+// constants so tests can shorten them.
 var (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -93,7 +96,12 @@ func daemon(ctx context.Context, cfg serve.Config, ln net.Listener, logw io.Writ
 		return err
 	}
 	defer s.Close()
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(logw, "interopd: serving on %s (workers=%d)\n", ln.Addr(), s.Gate().Workers())

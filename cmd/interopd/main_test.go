@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -186,6 +187,60 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("server answered a request whose headers never finished")
+	}
+
+	var out, errw bytes.Buffer
+	if code := client(addr, "", "/healthz", "", &out, &errw); code != 0 {
+		t.Fatalf("daemon not serving after the slow client: exit %d %s", code, errw.String())
+	}
+}
+
+// TestSlowBodyClientDisconnected: a client that sends complete headers
+// and then trickles its body is cut off after the read timeout instead
+// of holding the connection open indefinitely, and the daemon keeps
+// serving other clients.
+func TestSlowBodyClientDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 300 * time.Millisecond
+	addr, cancel, done := startDaemon(t, serve.Config{Workers: 1})
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/flow HTTP/1.1\r\nHost: interopd\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{")); err != nil {
+		t.Fatal(err)
+	}
+	// Keep trickling one byte at a time, well under the body length, until
+	// the server gives up on the connection.
+	stop, trickled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(trickled)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for i := 0; i < 40; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := conn.Write([]byte(" ")); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	close(stop)
+	<-trickled
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(start))
 	}
 
 	var out, errw bytes.Buffer

@@ -275,42 +275,20 @@ func Read(r io.Reader) (*netlist.Netlist, error) {
 // ReadWithDiagnostics parses an interchange file under the given policy.
 // The diagnostics slice is returned in both outcomes; in lenient mode a
 // non-nil netlist with error diagnostics means "partial design — these
-// records were quarantined".
+// records were quarantined". It is ReadStream: the input is never read
+// whole.
 func ReadWithDiagnostics(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReadBytes(data, opts)
+	return ReadStream(r, opts)
 }
 
 // ReadBytes is ReadWithDiagnostics over an in-memory input.
 func ReadBytes(data []byte, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
-	col := diag.New(opts.Mode, opts.Source, ErrFormat)
-	rd := &exReader{src: string(data), col: col}
-	nl, err := rd.read(opts.RequireTrailer)
-	if err != nil {
-		return nil, col.Diags, err
-	}
-	if nl == nil {
-		// The toplevel (edif ...) form itself was quarantined; there is
-		// nothing to recover.
-		return nil, col.Diags, fmt.Errorf("%w: no usable (edif ...) form", ErrFormat)
-	}
-	if opts.Mode == diag.Strict {
-		if err := col.Err(); err != nil {
-			return nil, col.Diags, err
-		}
-	}
-	return nl, col.Diags, nil
+	return ReadStream(bytes.NewReader(data), opts)
 }
 
 type exReader struct {
-	src string
 	col *diag.Collector
-	// sc is set by the streaming entry points (stream.go): positions then
-	// resolve against the scanner's window instead of a full source copy.
-	sc *al.Scanner
+	sc  *al.Scanner
 }
 
 // pos upgrades an indexed node to a line/column position.
@@ -318,13 +296,10 @@ func (rd *exReader) pos(n al.Node) diag.Pos {
 	return rd.posAt(n.Off())
 }
 
-// posAt upgrades a byte offset to a line/column position. In streaming
-// mode an offset already compacted out of the window degrades to
-// offset-only rather than costing the memory bound.
+// posAt upgrades a byte offset to a line/column position. An offset
+// already compacted out of the scanner's window degrades to offset-only
+// rather than costing the memory bound.
 func (rd *exReader) posAt(off int) diag.Pos {
-	if rd.sc == nil {
-		return diag.LineCol(rd.src, off)
-	}
 	if off < 0 {
 		return diag.NoPos
 	}
@@ -332,113 +307,6 @@ func (rd *exReader) posAt(off int) diag.Pos {
 		return diag.Pos{Offset: off, Line: line, Col: col}
 	}
 	return diag.Pos{Offset: off}
-}
-
-func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
-	trailer, terr := rd.checkTrailer(requireTrailer)
-	if terr != nil {
-		return nil, terr
-	}
-
-	var ix al.Index
-	if rd.col.Mode == diag.Lenient {
-		var aborted error
-		ix.ParseRecover(rd.src, func(off int, msg string) {
-			if aborted == nil {
-				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
-			}
-		})
-		if aborted != nil {
-			return nil, aborted
-		}
-	} else if err := ix.Parse(rd.src); err != nil {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-	}
-	if ix.Forms() != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (edif ...) form, got %d", ix.Forms())
-	}
-	top := ix.First()
-	if top.Len() < 2 || !top.Kid(0).IsSym("edif") {
-		return nil, rd.col.Errorf("parse", rd.pos(top), "missing (edif ...) form")
-	}
-
-	// First pass: collect the rename table.
-	renames := make(map[string]string)
-	for it := top.Kid(2); it.Valid(); it = it.Next() {
-		if it.Len() == 3 && it.Kid(0).IsSym("rename") {
-			alias, err1 := symStr(it.Kid(1))
-			orig, err2 := symStr(it.Kid(2))
-			if err1 != nil || err2 != nil {
-				if err := rd.col.Errorf("record", rd.pos(it), "bad rename"); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			renames[alias] = orig
-		}
-	}
-	restore := func(alias string) string {
-		if orig, ok := renames[alias]; ok {
-			return orig
-		}
-		return alias
-	}
-
-	nl := netlist.New()
-	for it := top.Kid(2); it.Valid(); it = it.Next() {
-		if it.Len() == 0 {
-			if err := rd.col.Errorf("record", rd.pos(it), "unexpected item %s", it.Repr()); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		head, _ := it.Kid(0).Sym()
-		switch head {
-		case "rename":
-			// handled in the first pass
-		case "design":
-			if it.Len() < 2 {
-				if err := rd.col.Errorf("record", rd.pos(it), "design needs a name"); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			name, err := symStr(it.Kid(1))
-			if err != nil {
-				if err := rd.col.Errorf("record", rd.pos(it.Kid(1)), "design name: %v", err); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			nl.Top = restore(name)
-		case "cell":
-			if err := rd.readCell(nl, it, restore); err != nil {
-				return nil, err
-			}
-		case "hints":
-			ct := hintCounts(it)
-			nl.Grow(ct.cells)
-		default:
-			if err := rd.col.Errorf("record", rd.pos(it), "unknown form %q", head); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if trailer != nil {
-		got := countElems(nl)
-		if got != *trailer {
-			if err := rd.integrityErr(diag.NoPos,
-				"element manifest mismatch: trailer says cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d, parsed cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d",
-				trailer.cells, trailer.ports, trailer.nets, trailer.insts, trailer.conns, trailer.attrs,
-				got.cells, got.ports, got.nets, got.insts, got.conns, got.attrs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := rd.reconcile(nl); err != nil {
-		return nil, err
-	}
-	return nl, nil
 }
 
 // reconcile enforces referential integrity on the parsed netlist: an
@@ -503,31 +371,8 @@ func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 	return nil
 }
 
-// checkTrailer locates and verifies the integrity trailer. It returns the
-// manifest counts when a trailer with a valid checksum is present, nil when
-// absent (and not required).
-func (rd *exReader) checkTrailer(require bool) (*elemCounts, error) {
-	line, start := lastLine(rd.src)
-	const prefix = "; integrity sha256:"
-	if !strings.HasPrefix(line, prefix) {
-		if require {
-			return nil, rd.integrityErr(diag.NoPos, "required integrity trailer is absent")
-		}
-		rd.col.Infof("integrity", diag.NoPos, "integrity trailer absent; content not verified")
-		return nil, nil
-	}
-	pos := diag.LineCol(rd.src, start)
-	sum := sha256.Sum256([]byte(rd.src[:start]))
-	ct, msg := parseTrailerFields(line, sum)
-	if msg != "" {
-		return nil, rd.integrityErr(pos, "%s", msg)
-	}
-	return ct, nil
-}
-
 // parseTrailerFields validates a trailer line against the body checksum
-// and decodes its manifest counts. A non-empty message names the failure;
-// the texts are shared by the buffered and streaming verifiers.
+// and decodes its manifest counts. A non-empty message names the failure.
 func parseTrailerFields(line string, bodySum [sha256.Size]byte) (*elemCounts, string) {
 	fields := strings.Fields(line[len("; "):])
 	// fields[0] = "integrity", fields[1] = "sha256:<hex>", then k=v counts.
@@ -620,65 +465,25 @@ func (rd *exReader) integrityErr(pos diag.Pos, format string, args ...any) error
 	return nil
 }
 
-// lastLine returns the last non-empty line of src and its byte offset.
-func lastLine(src string) (string, int) {
-	end := len(src)
-	for end > 0 && (src[end-1] == '\n' || src[end-1] == '\r') {
-		end--
-	}
-	start := strings.LastIndexByte(src[:end], '\n') + 1
-	return src[start:end], start
-}
-
-// readCell parses one (cell ...) form. A returned non-nil error is an
-// abort; recoverable problems are reported and the offending record
-// skipped.
-func (rd *exReader) readCell(nl *netlist.Netlist, l al.Node, restore func(string) string) error {
-	if l.Len() < 2 {
-		return rd.col.Errorf("record", rd.pos(l), "cell needs a name")
-	}
-	name, err := symStr(l.Kid(1))
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "cell name: %v", err)
-	}
-	c, err := nl.AddCell(restore(name))
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(l), "%v", err)
-	}
-	for it := l.Kid(2); it.Valid(); it = it.Next() {
-		if err := rd.readCellItem(c, it, restore); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCellItem handles one body item of a (cell ...) form. The streaming
-// reader calls it record by record; the buffered reader loops over the
-// indexed cell. A non-nil return is an abort.
-func (rd *exReader) readCellItem(c *netlist.Cell, it al.Node, restore func(string) string) error {
+// readCellItem handles one body item of a (cell ...) form; walkCell
+// streams (contents ...) itself. A non-nil return is an abort.
+func (rd *exReader) readCellItem(c *netlist.Cell, it al.Node) error {
 	if it.Len() == 0 {
 		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", it.Repr())
 	}
 	head, _ := it.Kid(0).Sym()
 	switch head {
 	case "interface":
-		return rd.readInterface(c, it, restore)
+		return rd.readInterface(c, it)
 	case "primitive":
 		c.Primitive = true
-	case "contents":
-		for item := it.Kid(1); item.Valid(); item = item.Next() {
-			if err := rd.readContentsItem(c, item, restore); err != nil {
-				return err
-			}
-		}
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInterface(c *netlist.Cell, il al.Node, restore func(string) string) error {
+func (rd *exReader) readInterface(c *netlist.Cell, il al.Node) error {
 	for pl := il.Kid(1); pl.Valid(); pl = pl.Next() {
 		if pl.Len() != 3 || !pl.Kid(0).IsSym("port") {
 			if err := rd.col.Errorf("record", rd.pos(pl), "bad port %s", pl.Repr()); err != nil {
@@ -701,7 +506,7 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.Node, restore func(stri
 			}
 			continue
 		}
-		if err := c.AddPort(restore(pname), dir); err != nil {
+		if err := c.AddPort(pname, dir); err != nil {
 			if err := rd.col.Errorf("record", rd.pos(pl), "%v", err); err != nil {
 				return err
 			}
@@ -713,7 +518,7 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.Node, restore func(stri
 // readContentsItem handles one record of a (contents ...) form — the
 // granularity at which the streaming reader parses, recovers and frees
 // memory. A non-nil return is an abort.
-func (rd *exReader) readContentsItem(c *netlist.Cell, il al.Node, restore func(string) string) error {
+func (rd *exReader) readContentsItem(c *netlist.Cell, il al.Node) error {
 	if il.Len() == 0 {
 		return rd.col.Errorf("record", rd.pos(il), "bad contents item")
 	}
@@ -727,7 +532,7 @@ func (rd *exReader) readContentsItem(c *netlist.Cell, il al.Node, restore func(s
 		if err != nil {
 			return rd.col.Errorf("record", rd.pos(il.Kid(1)), "net name: %v", err)
 		}
-		nt := c.EnsureNet(restore(name))
+		nt := c.EnsureNet(name)
 		for sl := il.Kid(2); sl.Valid(); sl = sl.Next() {
 			switch {
 			case sl.Len() == 0:
@@ -740,14 +545,14 @@ func (rd *exReader) readContentsItem(c *netlist.Cell, il al.Node, restore func(s
 			}
 		}
 	case "instance":
-		return rd.readInstance(c, il, restore)
+		return rd.readInstance(c, il)
 	default:
 		return rd.col.Errorf("record", rd.pos(il), "unknown contents item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInstance(c *netlist.Cell, il al.Node, restore func(string) string) error {
+func (rd *exReader) readInstance(c *netlist.Cell, il al.Node) error {
 	if il.Len() < 2 {
 		return rd.col.Errorf("record", rd.pos(il), "instance needs a name")
 	}
@@ -764,7 +569,7 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.Node, restore func(strin
 			if err != nil {
 				return rd.col.Errorf("record", rd.pos(sl.Kid(1)), "master: %v", err)
 			}
-			inst, err = c.AddInstance(restore(name), restore(m))
+			inst, err = c.AddInstance(name, m)
 			if err != nil {
 				return rd.col.Errorf("record", rd.pos(sl), "%v", err)
 			}
@@ -787,7 +592,7 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.Node, restore func(strin
 					}
 					continue
 				}
-				if err := c.Connect(restore(name), restore(port), restore(net)); err != nil {
+				if err := c.Connect(name, port, net); err != nil {
 					if err := rd.col.Errorf("record", rd.pos(jl), "%v", err); err != nil {
 						return err
 					}

@@ -1,39 +1,34 @@
-// Streaming interchange reader.
+// The interchange reader.
 //
-// ReadStream parses the same format as Read without materializing the
-// input: records — (net ...), (instance ...), (interface ...) and the
-// small toplevel forms — are parsed one at a time from an al.Scanner
-// window and the consumed bytes discarded at each record boundary, so
-// peak memory is bounded by one record plus one read chunk regardless of
-// design size. The integrity trailer is verified in the same pass by a
-// hashing tee that holds back a small tail, and (hints ...) counts
-// pre-size the netlist tables before the records arrive.
+// ReadStream parses the format without materializing the input: records
+// — (net ...), (instance ...), (interface ...) and the small toplevel
+// forms — are parsed one at a time from an al.Scanner window and the
+// consumed bytes discarded at each record boundary, so peak memory is
+// bounded by one record plus one read chunk regardless of design size.
+// The integrity trailer is verified in the same pass by a hashing tee
+// that holds back a small tail, and (hints ...) counts pre-size the
+// netlist tables before the records arrive.
 //
-// Equivalence with the buffered reader:
+// The diagnostics come in a fixed order, pinned by the reader golden
+// file in internal/experiments:
 //
-//   - Any input the buffered reader accepts — with or without trailer,
-//     renames or hints, strict or lenient — yields an identical netlist
-//     and identical diagnostics (same order, positions and messages).
-//   - Lenient inputs whose s-expressions are well formed but whose
-//     records are semantically bad (unknown forms, bad fields, duplicate
-//     names, dangling references) also yield identical diagnostics: the
-//     record handlers are shared code.
-//
-// Documented divergences, all on already-broken inputs:
-//
-//   - Lenient inputs with lexically broken records: the buffered reader's
-//     recovery is toplevel-granular, so one bad record quarantines the
-//     entire (edif ...) form and the parse salvages nothing. The
-//     streaming reader resynchronizes at the record boundary and salvages
-//     every other record — strictly more data survives, with a parse
-//     diagnostic at the damaged record rather than at the toplevel form.
-//   - Strict multi-fault inputs: the buffered reader checks the trailer
-//     and scans renames before any record, so it can abort on a later
-//     fault first. The streaming reader aborts on the first fault in
-//     document order (the trailer-status diagnostic is still reported
-//     first, by draining the remaining input on abort).
-//   - Renames are applied by rebuilding the netlist at end of input, so a
-//     collision between restored names is reported without a position.
+//   - The trailer-status diagnostic (trailer absent, required trailer
+//     absent, or trailer malformed or mismatched) is always first, even
+//     when the parse aborts mid-stream: the rest of the input is drained
+//     to identify the trailer. A trailer integrity error outranks the
+//     body error that aborted the parse.
+//   - In lenient mode, bad (rename ...) records are reported before the
+//     first diagnostic of the (edif ...) body, wherever they appear in
+//     it.
+//   - Record diagnostics follow in document order. Strict mode aborts on
+//     the first one; lenient mode quarantines the record and, on a
+//     lexically broken record, resynchronizes at the record boundary and
+//     salvages every other record.
+//   - The end-of-input checks come last, in this order: the form count,
+//     the missing (edif ...) form, restored-name collisions (reported
+//     without a position, since renames are applied by rebuilding the
+//     netlist at end of input), the trailer's element manifest, then
+//     dangling references.
 package exchange
 
 import (
@@ -59,9 +54,9 @@ type StreamStats struct {
 	InputBytes int64
 }
 
-// ReadStream is ReadWithDiagnostics with bounded memory: the input is
-// parsed incrementally instead of being read whole. See the package
-// comment in this file for the exact equivalence contract.
+// ReadStream parses an interchange file record by record, in bounded
+// memory, under the given policy. See the comment at the top of this file
+// for the order of the diagnostics.
 func ReadStream(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
 	nl, diags, _, err := ReadStreamStats(r, opts)
 	return nl, diags, err
@@ -77,8 +72,8 @@ func ReadStreamStats(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Di
 	nl, err := st.run(opts.RequireTrailer)
 	stats := StreamStats{MaxWindow: sc.MaxWindow(), InputBytes: tee.total}
 	if rerr := sc.Err(); rerr != nil {
-		// An input error, like ReadWithDiagnostics' io.ReadAll failure,
-		// outranks whatever partial parse came out of the truncated data.
+		// An input error outranks whatever partial parse came out of the
+		// truncated data.
 		return nil, col.Diags, stats, rerr
 	}
 	if err != nil {
@@ -94,10 +89,6 @@ func ReadStreamStats(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Di
 	}
 	return nl, col.Diags, stats, nil
 }
-
-// identName is the no-op restore: streaming keeps aliases during
-// construction and applies renames in one rebuild at end of input.
-func identName(s string) string { return s }
 
 // stream is the state of one streaming parse.
 type stream struct {
@@ -140,8 +131,7 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 		}
 		if tok == ")" {
 			// Stray toplevel close paren: diagnosed, consumed and not
-			// counted. (The buffered recovery also consumes the form after
-			// it; keeping that form is part of the salvage divergence.)
+			// counted; the form after it is kept.
 			perr := fmt.Errorf("%w: offset %d: unexpected )", al.ErrParse, off)
 			if rd.col.Mode == diag.Strict {
 				return nil, st.abort(rd.col.Errorf("parse", diag.NoPos, "%v", perr), require)
@@ -187,9 +177,8 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 		sc.Compact()
 	}
 
-	// End of input: place deferred diagnostics where the buffered reader
-	// puts them, resolve the trailer, then run the end-of-parse checks in
-	// the buffered order (manifest, then reconcile).
+	// End of input: splice in the deferred bad renames, resolve the
+	// trailer, then run the end-of-input checks in contract order.
 	if rd.col.Mode == diag.Lenient && len(st.badRenames) > 0 {
 		st.splice()
 	}
@@ -252,7 +241,7 @@ func (st *stream) walkEdif(openOff int) (*netlist.Netlist, error) {
 	case "":
 		return nil, st.unterminated(openOff)
 	case ")":
-		// (edif) — too short to be usable, like the buffered length check.
+		// (edif) — too short to be usable.
 		sc.Next()
 		st.missing = true
 		st.missingPos = st.edifPos
@@ -300,7 +289,7 @@ func (st *stream) walkEdif(openOff int) (*netlist.Netlist, error) {
 }
 
 // topItem dispatches one indexed toplevel item (everything except cells,
-// which are walked record by record).
+// which walkEdif hands to walkCell).
 func (st *stream) topItem(nl *netlist.Netlist, l al.Node) error {
 	rd := st.rd
 	if l.Len() == 0 {
@@ -309,8 +298,8 @@ func (st *stream) topItem(nl *netlist.Netlist, l al.Node) error {
 	head, _ := l.Kid(0).Sym()
 	switch head {
 	case "rename":
-		// Mirror the buffered first pass: only three-element renames are
-		// examined; anything else is silently ignored.
+		// Only three-element renames are examined; anything else is
+		// silently ignored.
 		if l.Len() != 3 {
 			return nil
 		}
@@ -320,8 +309,8 @@ func (st *stream) topItem(nl *netlist.Netlist, l al.Node) error {
 			if rd.col.Mode == diag.Strict {
 				return rd.col.Errorf("record", rd.pos(l), "bad rename")
 			}
-			// Deferred: the buffered reader reports bad renames before any
-			// record diagnostic, so these are spliced in at end of input.
+			// Deferred: bad renames are reported before any record
+			// diagnostic, so these are spliced in at end of input.
 			st.badRenames = append(st.badRenames, diag.Diagnostic{
 				Sev: diag.Error, Code: "record", Source: rd.col.Source,
 				Pos: rd.pos(l), Msg: "bad rename",
@@ -342,10 +331,6 @@ func (st *stream) topItem(nl *netlist.Netlist, l al.Node) error {
 		ct := hintCounts(l)
 		nl.Grow(ct.cells)
 		st.netsHint, st.instsHint = ct.nets, ct.insts
-	case "cell":
-		// Unreachable via the normal walk (cells are detected by token and
-		// streamed); kept for an oddity like a quoted cell.
-		return rd.readCell(nl, l, identName)
 	default:
 		return rd.col.Errorf("record", rd.pos(l), "unknown form %q", head)
 	}
@@ -422,7 +407,7 @@ func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readCellItem(c, n, identName); aerr != nil {
+		if aerr := rd.readCellItem(c, n); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
@@ -470,18 +455,16 @@ func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
 			sc.Compact()
 			continue
 		}
-		if aerr := rd.readContentsItem(c, n, identName); aerr != nil {
+		if aerr := rd.readContentsItem(c, n); aerr != nil {
 			return aerr
 		}
 		sc.Compact()
 	}
 }
 
-// recordParseErr mirrors the buffered reader's handling of a parse error.
-// Strict reports at NoPos, exactly as the buffered reader does, and
+// recordParseErr handles a parse error. Strict reports at NoPos and
 // aborts. Lenient reports at the record's start and resynchronizes the
-// scanner past the damaged record — recovery at the granularity the
-// buffered (whole-input) parse cannot offer.
+// scanner past the damaged record, so the records after it survive.
 func (st *stream) recordParseErr(off int, err error) error {
 	if st.rd.col.Mode == diag.Strict {
 		return st.rd.col.Errorf("parse", diag.NoPos, "%v", err)
@@ -493,9 +476,9 @@ func (st *stream) recordParseErr(off int, err error) error {
 	return nil
 }
 
-// unterminated reports end of input inside an open form, with the message
-// the whole-input parse produces for the innermost unclosed list. The
-// lenient position is the toplevel form start, as the buffered recovery reports.
+// unterminated reports end of input inside an open form, naming the
+// offset of the innermost unclosed list. The lenient position is the
+// start of the (edif ...) form.
 func (st *stream) unterminated(openOff int) error {
 	err := fmt.Errorf("%w: offset %d: unterminated list", al.ErrParse, openOff)
 	if st.rd.col.Mode == diag.Strict {
@@ -505,11 +488,9 @@ func (st *stream) unterminated(openOff int) error {
 }
 
 // abort finishes an abort mid-stream: the remaining input is drained so
-// the integrity trailer can still be identified, and the trailer-status
-// diagnostic is placed first — where the buffered reader, which checks
-// the trailer before parsing anything, always puts it. A trailer
-// integrity error outranks the body error, matching the buffered order
-// of checks.
+// the integrity trailer can still be identified and its status
+// diagnostic placed first. A trailer integrity error outranks the body
+// error.
 func (st *stream) abort(aerr error, require bool) error {
 	io.Copy(io.Discard, st.tee)
 	if _, terr := st.resolveTrailer(require); terr != nil {
@@ -556,8 +537,8 @@ func (st *stream) rotate(pre int) {
 	d[0] = last
 }
 
-// splice inserts the deferred bad-rename diagnostics where the buffered
-// reader's rename pre-pass puts them: before the first record diagnostic.
+// splice inserts the deferred bad-rename diagnostics before the first
+// diagnostic of the (edif ...) body.
 func (st *stream) splice() {
 	d := st.rd.col.Diags
 	idx := st.bodyStart
@@ -574,11 +555,10 @@ func (st *stream) splice() {
 // restoreNetlist rebuilds nl with every identifier passed through
 // restore, preserving port order and merging nets that collapse to the
 // same restored name (Global is sticky; colliding attributes resolve in
-// sorted source order) — the same outcome the buffered reader gets by
-// restoring names during construction. Property keys and values are
-// never restored, also matching the buffered reader. Restored-name
-// collisions go through report; a nil report return drops the colliding
-// element and continues, the lenient quarantine discipline.
+// sorted source order). Property keys and values are never restored.
+// Restored-name collisions go through report; a nil report return drops
+// the colliding element and continues, the lenient quarantine
+// discipline.
 func restoreNetlist(nl *netlist.Netlist, restore func(string) string, report func(format string, args ...any) error) (*netlist.Netlist, error) {
 	out := netlist.New()
 	out.Grow(len(nl.Cells))
@@ -685,9 +665,8 @@ func (t *trailerTee) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// resolve identifies the trailer candidate after end of input, mirroring
-// lastLine(): the last non-empty line, its position, and the sha256 of
-// everything before it. ok is false when the line's start lies beyond the
+// resolve identifies the trailer candidate after end of input: the last
+// non-empty line, its position, and the sha256 of everything before it. ok is false when the line's start lies beyond the
 // holdback window — a multi-kilobyte final line is not a trailer.
 func (t *trailerTee) resolve() (line string, pos diag.Pos, sum [sha256.Size]byte, ok bool) {
 	end := len(t.tail)

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"io"
 	"reflect"
 
 	"cadinterop/internal/diag"
 	"cadinterop/internal/exchange"
 	"cadinterop/internal/geom"
+	"cadinterop/internal/netlist"
 	"cadinterop/internal/place"
 	"cadinterop/internal/route"
 	"cadinterop/internal/workgen"
@@ -16,8 +16,8 @@ import (
 // E16Scale measures this repo at scale. Part 1 pipes workgen's streaming
 // interchange emitter straight into the streaming reader — the file never
 // exists in memory — and reports the parse-window high-water mark against
-// the input size, plus an equality verdict against the buffered reader
-// where the buffered side is cheap enough to run. Part 2 routes placed
+// the input size, plus an equality verdict against the generator's
+// in-memory netlist. Part 2 routes placed
 // E9-style designs at two sizes and reports the routed totals. Every
 // number is a count, size or ratio — no timing — so the report is
 // byte-identical at any worker count; ns/net lives in the benchmark suite
@@ -26,7 +26,7 @@ func E16Scale() (*Report, error) {
 	r := &Report{ID: "E16", Title: "scale: streaming interchange window and routing (seed 16)"}
 
 	r.addf("streaming interchange: emitter piped to reader, no materialized file")
-	r.addf("%8s %10s %8s %9s %7s %9s %10s", "nets", "bytes", "window", "win/input", "diags", "manifest", "vs-buffer")
+	r.addf("%8s %10s %8s %9s %7s %9s %10s", "nets", "bytes", "window", "win/input", "diags", "manifest", "vs-source")
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		opts := workgen.ScaleOptions{Nets: n, Seed: 16}
 		pr, pw := io.Pipe()
@@ -46,23 +46,11 @@ func E16Scale() (*Report, error) {
 		if st.Nets != info.Nets || st.Instances != info.Insts || st.Pins != info.Conns {
 			manifest = "MISMATCH"
 		}
-		// The buffered reader needs the whole file in memory — run the
-		// cross-check at the sizes where that is cheap; the byte-identity
-		// of emitter and writer plus the trailer checksum cover the rest.
-		verdict := "(skipped)"
-		if n <= 10_000 {
-			var buf bytes.Buffer
-			if _, err := workgen.ScaleExchange(&buf, opts); err != nil {
-				return nil, err
-			}
-			bnl, bdiags, berr := exchange.ReadBytes(buf.Bytes(), exchange.ReadOptions{RequireTrailer: true})
-			if berr != nil {
-				return nil, berr
-			}
-			verdict = "identical"
-			if !reflect.DeepEqual(bnl, nl) || !reflect.DeepEqual(bdiags, diags) {
-				verdict = "DIVERGED"
-			}
+		// The netlist the emitter serialized, built in memory: the parse
+		// must reproduce it exactly, attributes included.
+		verdict := "identical"
+		if diffs := netlist.Compare(workgen.ScaleNetlist(opts), nl, netlist.CompareOptions{CompareAttrs: true}); len(diffs) > 0 {
+			verdict = "DIVERGED"
 		}
 		r.addf("%8d %10d %8d %8.2f%% %7d %9s %10s",
 			n, info.Bytes, stats.MaxWindow,

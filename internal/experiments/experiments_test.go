@@ -419,8 +419,8 @@ func TestE16(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(r.Lines, "\n")
-	// Every equality verdict must hold: streaming parse vs buffered parse,
-	// parsed elements vs manifest.
+	// Every equality verdict must hold: parsed netlist vs the generator's
+	// source netlist, parsed elements vs manifest.
 	if strings.Contains(joined, "DIVERGED") || strings.Contains(joined, "MISMATCH") {
 		t.Fatalf("equivalence verdict failed:\n%s", joined)
 	}

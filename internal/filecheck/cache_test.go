@@ -23,7 +23,7 @@ func TestFilesOptsWarmCacheIdentical(t *testing.T) {
 			t.Fatalf("%s cold: hits=%d misses=%d", mode, cache.Hits(), cache.Misses())
 		}
 		var warm strings.Builder
-		warmErr := FilesOpts(&warm, paths, Options{Mode: mode, Jobs: 4, Shards: 3, Cache: cache})
+		warmErr := FilesOpts(&warm, paths, Options{Mode: mode, Jobs: 4, Cache: cache})
 		if cache.Hits() != int64(len(paths)) {
 			t.Errorf("%s warm hits = %d, want %d", mode, cache.Hits(), len(paths))
 		}
@@ -61,13 +61,6 @@ func TestVetCacheInvalidation(t *testing.T) {
 	if cache.Hits() != 1 {
 		t.Errorf("mode flip hit the strict entry")
 	}
-	// Stream flip: different reader family.
-	if _, err := vetFile(p, Options{Mode: diag.Strict, Stream: true, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != 1 {
-		t.Errorf("stream flip hit the buffered entry")
-	}
 	// Content edit.
 	if err := os.WriteFile(p, []byte("(edif d2 (cell c (interface) (primitive)))"), 0o644); err != nil {
 		t.Fatal(err)
@@ -77,6 +70,47 @@ func TestVetCacheInvalidation(t *testing.T) {
 	}
 	if cache.Hits() != 1 {
 		t.Errorf("content edit hit the stale entry")
+	}
+}
+
+// TestVetFileRendersHashedBytes: with a cache, a file is read once, and
+// the verdict rendered and stored under a content key is the verdict of
+// exactly the bytes that were hashed — even when the file is rewritten
+// right after that read.
+func TestVetFileRendersHashedBytes(t *testing.T) {
+	paths := writeCorpus(t)
+	p := paths[0] // a_good.edf
+	good, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodDiags, err := CheckBytes(p, good, diag.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	defer func(f func(string) ([]byte, error)) { readFile = f }(readFile)
+	readFile = func(name string) ([]byte, error) {
+		reads++
+		data, err := os.ReadFile(name)
+		// Rewrite the file after the read: any second read sees damage.
+		if werr := os.WriteFile(name, []byte("(edif d (cell c (interface)"), 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		return data, err
+	}
+	cache := memo.New(nil)
+	text, err := vetFile(p, Options{Mode: diag.Strict, Cache: cache})
+	if reads != 1 {
+		t.Errorf("file read %d times, want 1", reads)
+	}
+	want, _ := render(p, diag.Strict, goodDiags, nil)
+	if text != want || err != nil {
+		t.Errorf("verdict is not that of the hashed bytes:\n got %q (err %v)\nwant %q", text, err, want)
+	}
+	readFile = func(string) ([]byte, error) { return good, nil }
+	if cached, _ := vetFile(p, Options{Mode: diag.Strict, Cache: cache}); cache.Hits() != 1 || cached != want {
+		t.Errorf("stored entry for the hashed bytes: hits=%d text %q, want %q", cache.Hits(), cached, want)
 	}
 }
 

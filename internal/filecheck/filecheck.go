@@ -37,21 +37,8 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Output order and every verdict are
 	// identical at any setting.
 	Jobs int
-	// Shards groups the file list into this many contiguous work shards;
-	// a shard is one scheduling unit for the pool. 0 (the default) means
-	// one shard per file. Purely a granularity knob — output never
-	// changes.
-	Shards int
-	// Stream selects the streaming readers for the formats that have one
-	// (exchange, cadence; viewlogic always streams), so large files are
-	// vetted in bounded memory instead of being read whole. On well-formed
-	// inputs verdicts and diagnostics are identical to the buffered
-	// readers'; on lexically damaged lenient inputs the streaming readers
-	// resynchronize at record granularity and salvage strictly more (see
-	// the documented divergences in exchange.ReadStream).
-	Stream bool
 	// Cache memoizes each file's rendered diagnostics block and abort
-	// verdict by (content hash, path, mode, stream); see internal/memo.
+	// verdict by (content hash, path, mode); see internal/memo.
 	// Repeat vets of unchanged files are answered without re-parsing. Nil
 	// disables memoization.
 	Cache *memo.Cache
@@ -111,28 +98,26 @@ func CheckFile(path string, mode diag.Mode) ([]diag.Diagnostic, error) {
 	return CheckFileOpts(path, Options{Mode: mode})
 }
 
-// CheckFileOpts vets one file under the full option set. With Stream set,
-// formats with a streaming reader parse straight off the open file in
-// bounded memory; everything else falls back to the buffered path.
+// CheckFileOpts vets one file under the full option set. Exchange,
+// cadence and viewlogic files are parsed straight off the open file in
+// bounded memory; the other formats are read whole.
 func CheckFileOpts(path string, opts Options) ([]diag.Diagnostic, error) {
-	if opts.Stream {
-		switch strings.ToLower(filepath.Ext(path)) {
-		case ".edf", ".edif":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := exchange.ReadStream(r, exchange.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		case ".cd", ".cds":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := cd.ReadStream(r, cd.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		case ".vl", ".wir":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := vl.ReadWithDiagnostics(r, vl.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		}
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".edf", ".edif":
+		return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
+			_, diags, err := exchange.ReadStream(r, exchange.ReadOptions{Mode: opts.Mode, Source: path})
+			return diags, err
+		})
+	case ".cd", ".cds":
+		return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
+			_, diags, err := cd.ReadStream(r, cd.ReadOptions{Mode: opts.Mode, Source: path})
+			return diags, err
+		})
+	case ".vl", ".wir":
+		return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
+			_, diags, err := vl.ReadWithDiagnostics(r, vl.ReadOptions{Mode: opts.Mode, Source: path})
+			return diags, err
+		})
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -158,28 +143,20 @@ func Files(w io.Writer, paths []string, mode diag.Mode) error {
 	return FilesOpts(w, paths, Options{Mode: mode, Jobs: 1})
 }
 
-// FilesOpts is Files under the full option set: the path list is split
-// into Options.Shards contiguous groups and the groups are vetted across
-// Options.Jobs workers. Each file's rendered block — diagnostics followed
-// by its verdict line — is buffered per file and printed in path order,
-// so the output and the returned (lowest-path) error are byte-identical
-// at every Jobs and Shards setting.
+// FilesOpts is Files under the full option set: the files are vetted
+// across Options.Jobs workers, one task per file. Each file's rendered
+// block — diagnostics followed by its verdict line — is buffered per file
+// and printed in path order, so the output and the returned (lowest-path)
+// error are byte-identical at every Jobs setting.
 func FilesOpts(w io.Writer, paths []string, opts Options) error {
 	type outcome struct {
 		text string
 		err  error
 	}
-	shards := opts.Shards
-	if shards <= 0 || shards > len(paths) {
-		shards = len(paths)
-	}
 	vetted := make([]outcome, len(paths))
-	par.ForEach(shards, func(s int) error {
-		lo, hi := s*len(paths)/shards, (s+1)*len(paths)/shards
-		for i := lo; i < hi; i++ {
-			text, err := vetFile(paths[i], opts)
-			vetted[i] = outcome{text, err}
-		}
+	par.ForEach(len(paths), func(i int) error {
+		text, err := vetFile(paths[i], opts)
+		vetted[i] = outcome{text, err}
 		return nil
 	}, par.Workers(opts.Jobs))
 	var firstErr error
@@ -192,26 +169,35 @@ func FilesOpts(w io.Writer, paths []string, opts Options) error {
 	return firstErr
 }
 
+// readFile reads a file whole for the cached path; a variable so a test
+// can count the reads and change the file between them.
+var readFile = os.ReadFile
+
 // vetFile produces one file's rendered block and abort verdict, consulting
 // the cache when Options.Cache is set. The key is content-addressed (file
-// bytes) plus path, mode, and stream — path included because diagnostics
-// embed it, so identical bytes under two names must not share an entry.
+// bytes) plus path and mode — path included because diagnostics embed it,
+// so identical bytes under two names must not share an entry. The verdict
+// is rendered from the very bytes that were hashed, so a file rewritten
+// mid-vet cannot store one content's verdict under another's key.
 func vetFile(path string, opts Options) (string, error) {
 	if opts.Cache == nil {
-		return renderFile(path, opts)
+		diags, err := CheckFileOpts(path, opts)
+		return render(path, opts.Mode, diags, err)
 	}
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		return renderFile(path, opts) // unreadable: uncached failure path
+	data, err := readFile(path)
+	if err != nil {
+		return render(path, opts.Mode, nil, err) // unreadable: uncached failure
 	}
 	sum := sha256.Sum256(data)
 	key := memo.Key{
 		Content: hex.EncodeToString(sum[:]),
 		Tool:    "filecheck",
-		Options: memo.NewFP("filecheck.Options/v1").
+		// v2: exchange and cd diagnostics on broken files differ from
+		// v1's (record-granular lenient salvage, document-order strict
+		// aborts), so no v1 entry may be served.
+		Options: memo.NewFP("filecheck.Options/v2").
 			Str("path", path).
 			Int("mode", int(opts.Mode)).
-			Bool("stream", opts.Stream).
 			Sum(),
 	}
 	if enc, ok := opts.Cache.Get(key); ok {
@@ -219,17 +205,17 @@ func vetFile(path string, opts Options) (string, error) {
 			return text, err
 		}
 	}
-	text, err := renderFile(path, opts)
+	diags, cerr := CheckBytes(path, data, opts.Mode)
+	text, err := render(path, opts.Mode, diags, cerr)
 	opts.Cache.Put(key, encodeVet(text, err))
 	return text, err
 }
 
-// renderFile vets one file and renders its diagnostics block — every
-// diagnostic line followed by the verdict line — returning the abort error
-// (wrapped with the path) when the parse gave up.
-func renderFile(path string, opts Options) (string, error) {
+// render formats one file's diagnostics block — every diagnostic line
+// followed by the verdict line — returning the abort error (wrapped with
+// the path) when the parse gave up.
+func render(path string, mode diag.Mode, diags []diag.Diagnostic, err error) (string, error) {
 	var sb strings.Builder
-	diags, err := CheckFileOpts(path, opts)
 	for _, d := range diags {
 		fmt.Fprintln(&sb, d)
 	}
@@ -240,7 +226,7 @@ func renderFile(path string, opts Options) (string, error) {
 	} else if errs > 0 {
 		verdict = "recovered"
 	}
-	fmt.Fprintf(&sb, "%s: %s (%s mode, %d error(s), %d warning(s))\n", path, verdict, opts.Mode, errs, warns)
+	fmt.Fprintf(&sb, "%s: %s (%s mode, %d error(s), %d warning(s))\n", path, verdict, mode, errs, warns)
 	if err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 	}

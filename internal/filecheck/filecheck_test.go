@@ -78,27 +78,21 @@ func writeCorpus(t *testing.T) []string {
 }
 
 func TestFilesOptsIdenticalAcrossKnobs(t *testing.T) {
-	// Jobs and Shards are pure scheduling knobs: for a fixed (Mode, Stream)
-	// the rendered output and returned error never change. Stream picks a
-	// different reader, so it gets its own reference run.
+	// Jobs is a pure scheduling knob: for a fixed Mode the rendered
+	// output and returned error never change.
 	paths := writeCorpus(t)
 	for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-		for _, streaming := range []bool{false, true} {
-			var ref strings.Builder
-			refErr := FilesOpts(&ref, paths, Options{Mode: mode, Jobs: 1, Stream: streaming})
-			for _, jobs := range []int{1, 4, 8} {
-				for _, shards := range []int{0, 1, 3, 100} {
-					var sb strings.Builder
-					err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs, Shards: shards, Stream: streaming})
-					if sb.String() != ref.String() {
-						t.Fatalf("%s jobs=%d shards=%d stream=%v output diverged:\n--- ref ---\n%s--- got ---\n%s",
-							mode, jobs, shards, streaming, ref.String(), sb.String())
-					}
-					if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-						t.Fatalf("%s jobs=%d shards=%d stream=%v err = %v, want %v",
-							mode, jobs, shards, streaming, err, refErr)
-					}
-				}
+		var ref strings.Builder
+		refErr := FilesOpts(&ref, paths, Options{Mode: mode, Jobs: 1})
+		for _, jobs := range []int{0, 4, 8} {
+			var sb strings.Builder
+			err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs})
+			if sb.String() != ref.String() {
+				t.Fatalf("%s jobs=%d output diverged:\n--- ref ---\n%s--- got ---\n%s",
+					mode, jobs, ref.String(), sb.String())
+			}
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Fatalf("%s jobs=%d err = %v, want %v", mode, jobs, err, refErr)
 			}
 		}
 	}
@@ -117,27 +111,24 @@ func TestFilesOptsFirstErrorIsLowestPath(t *testing.T) {
 }
 
 func TestCheckFileOptsStreamMatchesBuffered(t *testing.T) {
-	// On well-formed inputs the streaming readers are byte-equivalent to
-	// the buffered ones. On lexically damaged lenient inputs they diverge
-	// by design (streaming salvages at record granularity; see
-	// exchange.ReadStream) — there both must still surface the damage as
-	// error-severity diagnostics, but the exact messages differ.
+	// CheckFileOpts parses exchange, cadence and viewlogic files straight
+	// off the open file; CheckBytes parses a buffered copy. Both reach
+	// the same reader, so every file — damaged or not — gets the same
+	// diagnostics and verdict either way.
 	paths := writeCorpus(t)
 	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		damaged := strings.Contains(filepath.Base(p), "_bad.")
 		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-			bufDiags, bufErr := CheckFileOpts(p, Options{Mode: mode})
-			strDiags, strErr := CheckFileOpts(p, Options{Mode: mode, Stream: true})
-			if damaged {
-				if diag.Count(bufDiags, diag.Error) == 0 && bufErr == nil {
-					t.Errorf("%s %s: buffered reader missed the damage", filepath.Base(p), mode)
-				}
-				if diag.Count(strDiags, diag.Error) == 0 && strErr == nil {
-					t.Errorf("%s %s: streaming reader missed the damage", filepath.Base(p), mode)
-				}
-				continue
+			bufDiags, bufErr := CheckBytes(p, data, mode)
+			strDiags, strErr := CheckFileOpts(p, Options{Mode: mode})
+			if damaged && diag.Count(strDiags, diag.Error) == 0 && strErr == nil {
+				t.Errorf("%s %s: the damage went unreported", filepath.Base(p), mode)
 			}
-			if (bufErr == nil) != (strErr == nil) {
+			if (bufErr == nil) != (strErr == nil) || (bufErr != nil && bufErr.Error() != strErr.Error()) {
 				t.Errorf("%s %s: buffered err %v vs stream err %v", filepath.Base(p), mode, bufErr, strErr)
 			}
 			if len(bufDiags) != len(strDiags) {

@@ -8,6 +8,7 @@ package cd
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -151,107 +152,40 @@ func Read(r io.Reader, opts ReadOptions) (*schematic.Design, error) {
 // ReadWithDiagnostics parses under the given policy. Quarantine granularity
 // is the record: a malformed symbol, port, instance, wire, label, connector
 // or text form is skipped with a position-carrying diagnostic and the rest
-// of the design is still imported.
+// of the design is still imported. It is ReadStream: the input is never
+// read whole.
 func ReadWithDiagnostics(r io.Reader, opts ReadOptions) (*schematic.Design, []diag.Diagnostic, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReadBytes(data, opts)
+	return ReadStream(r, opts)
 }
 
 // ReadBytes is ReadWithDiagnostics over an in-memory input.
 func ReadBytes(data []byte, opts ReadOptions) (*schematic.Design, []diag.Diagnostic, error) {
-	col := diag.New(opts.Mode, opts.Source, ErrFormat)
-	rd := &cdReader{src: string(data), col: col}
-	d, err := rd.read(opts.Lint)
-	if err != nil {
-		return nil, col.Diags, err
-	}
-	if d == nil {
-		// The toplevel (design ...) form itself was quarantined; there is
-		// nothing to recover.
-		return nil, col.Diags, fmt.Errorf("%w: no usable (design ...) form", ErrFormat)
-	}
-	if err := schematic.Reconcile(d, col); err != nil {
-		return nil, col.Diags, err
-	}
-	if opts.Mode == diag.Strict {
-		if err := col.Err(); err != nil {
-			return nil, col.Diags, err
-		}
-	}
-	return d, col.Diags, nil
+	return ReadStream(bytes.NewReader(data), opts)
 }
 
 type cdReader struct {
-	src string
 	col *diag.Collector
-	// sc is set by the streaming reader; positions then resolve against
-	// the scanner's window instead of a full-input buffer.
-	sc *al.Scanner
+	sc  *al.Scanner
 }
 
 func (rd *cdReader) pos(n al.Node) diag.Pos {
 	return rd.posAt(n.Off())
 }
 
+// posAt upgrades a byte offset to a line/column position. An offset
+// already compacted out of the scanner's window degrades to offset-only.
 func (rd *cdReader) posAt(off int) diag.Pos {
-	if rd.sc != nil {
-		if off < 0 {
-			return diag.NoPos
-		}
-		if line, col, ok := rd.sc.LineColAt(off); ok {
-			return diag.Pos{Offset: off, Line: line, Col: col}
-		}
-		return diag.Pos{Offset: off}
+	if off < 0 {
+		return diag.NoPos
 	}
-	return diag.LineCol(rd.src, off)
+	if line, col, ok := rd.sc.LineColAt(off); ok {
+		return diag.Pos{Offset: off, Line: line, Col: col}
+	}
+	return diag.Pos{Offset: off}
 }
 
-func (rd *cdReader) read(lint bool) (*schematic.Design, error) {
-	var ix al.Index
-	if rd.col.Mode == diag.Lenient {
-		var aborted error
-		ix.ParseRecover(rd.src, func(off int, msg string) {
-			if aborted == nil {
-				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
-			}
-		})
-		if aborted != nil {
-			return nil, aborted
-		}
-	} else if err := ix.Parse(rd.src); err != nil {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-	}
-	if ix.Forms() != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (design ...) form, got %d", ix.Forms())
-	}
-	top := ix.First()
-	if top.Len() < 2 || !top.Kid(0).IsSym("design") {
-		return nil, rd.col.Errorf("parse", rd.pos(top), "missing (design ...) form")
-	}
-	name, err := symOrStr(top.Kid(1))
-	if err != nil {
-		return nil, rd.col.Errorf("record", rd.pos(top.Kid(1)), "design name: %v", err)
-	}
-	d := schematic.NewDesign(name, geom.GridSixteenth)
-	for it := top.Kid(2); it.Valid(); it = it.Next() {
-		if err := rd.readDesignItem(d, it); err != nil {
-			return nil, err
-		}
-	}
-	if lint {
-		if vs := schematic.CD.Check(d); len(vs) > 0 {
-			if err := rd.col.Errorf("lint", diag.NoPos, "dialect violations: %d (first: %s)", len(vs), vs[0]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return d, nil
-}
-
-// readDesignItem handles one direct child of the (design ...) form.
+// readDesignItem handles one direct child of the (design ...) form;
+// walkDesign streams (library ...) and (cell ...) itself.
 func (rd *cdReader) readDesignItem(d *schematic.Design, l al.Node) error {
 	if l.Len() == 0 {
 		return rd.col.Errorf("record", rd.pos(l), "unexpected item %s", l.Repr())
@@ -291,29 +225,8 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, l al.Node) error {
 			}
 			d.Globals = append(d.Globals, s)
 		}
-	case "library":
-		return rd.readLibrary(d, l)
-	case "cell":
-		return rd.readCell(d, l)
 	default:
 		return rd.col.Errorf("record", rd.pos(l), "unknown form %q", head)
-	}
-	return nil
-}
-
-func (rd *cdReader) readLibrary(d *schematic.Design, l al.Node) error {
-	if l.Len() < 2 {
-		return rd.col.Errorf("record", rd.pos(l), "library needs a name")
-	}
-	name, err := symOrStr(l.Kid(1))
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "library name: %v", err)
-	}
-	lib := d.EnsureLibrary(name)
-	for it := l.Kid(2); it.Valid(); it = it.Next() {
-		if err := rd.readLibraryItem(lib, it); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -388,27 +301,8 @@ func parseSymbol(sl al.Node) (*schematic.Symbol, error) {
 	return sym, nil
 }
 
-func (rd *cdReader) readCell(d *schematic.Design, l al.Node) error {
-	if l.Len() < 2 {
-		return rd.col.Errorf("record", rd.pos(l), "cell needs a name")
-	}
-	name, err := symOrStr(l.Kid(1))
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(l.Kid(1)), "cell name: %v", err)
-	}
-	cell, err := d.AddCell(name)
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(l), "%v", err)
-	}
-	for it := l.Kid(2); it.Valid(); it = it.Next() {
-		if err := rd.readCellItem(cell, it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCellItem handles one direct child of a (cell ...) form.
+// readCellItem handles one direct child of a (cell ...) form; walkCell
+// streams (page ...) itself.
 func (rd *cdReader) readCellItem(cell *schematic.Cell, cl al.Node) error {
 	if cl.Len() == 0 {
 		return rd.col.Errorf("record", rd.pos(cl), "bad cell item %s", cl.Repr())
@@ -435,33 +329,8 @@ func (rd *cdReader) readCellItem(cell *schematic.Cell, cl al.Node) error {
 		if err != nil {
 			return rd.col.Errorf("record", rd.pos(cl), "%v", err)
 		}
-	case "page":
-		return rd.readPage(cell, cl)
 	default:
 		return rd.col.Errorf("record", rd.pos(cl), "unknown cell item %q", h)
-	}
-	return nil
-}
-
-func (rd *cdReader) readPage(cell *schematic.Cell, l al.Node) error {
-	var size geom.Rect
-	body := l.Kid(2) // (page index body...); absent for a bare (page)
-	if body.Len() == 5 && body.Kid(0).IsSym("size") {
-		xs, err := nums(body, 1, 5, 4)
-		if err != nil {
-			if aerr := rd.col.Errorf("record", rd.pos(body), "page size: %v", err); aerr != nil {
-				return aerr
-			}
-		} else {
-			size = geom.R(xs[0], xs[1], xs[2], xs[3])
-		}
-		body = body.Next()
-	}
-	pg := cell.AddPage(size)
-	for it := body; it.Valid(); it = it.Next() {
-		if err := rd.readPageItem(pg, it); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -13,37 +13,28 @@ import (
 	"cadinterop/internal/schematic"
 )
 
-// assertStreamEquiv runs the buffered and streaming readers over the same
-// bytes and asserts identical design, diagnostics and error — once with
-// normal reads and once byte-at-a-time to stress window-edge refills.
+// assertStreamEquiv reads the same bytes in whole chunks (ReadBytes) and
+// byte-at-a-time, which drives the scanner's window-edge refills, and
+// asserts identical design, diagnostics and error. The reader's output
+// itself is pinned by the reader golden file in internal/experiments.
 func assertStreamEquiv(t *testing.T, data []byte, opts ReadOptions) {
 	t.Helper()
 	bd, bdiags, berr := ReadBytes(data, opts)
-	for _, chunked := range []bool{false, true} {
-		r := bytes.NewReader(data)
-		var sd *schematic.Design
-		var sdiags []diag.Diagnostic
-		var serr error
-		if chunked {
-			sd, sdiags, serr = ReadStream(iotest.OneByteReader(r), opts)
-		} else {
-			sd, sdiags, serr = ReadStream(r, opts)
-		}
-		label := fmt.Sprintf("chunked=%v", chunked)
-		if (berr == nil) != (serr == nil) || (berr != nil && berr.Error() != serr.Error()) {
-			t.Fatalf("%s: error mismatch:\nbuffered: %v\nstream:   %v", label, berr, serr)
-		}
-		if !reflect.DeepEqual(bdiags, sdiags) {
-			t.Fatalf("%s: diagnostics mismatch:\nbuffered:\n%s\nstream:\n%s", label, diag.Render(bdiags), diag.Render(sdiags))
-		}
-		if !reflect.DeepEqual(bd, sd) {
-			t.Fatalf("%s: design mismatch:\nbuffered: %+v\nstream:   %+v", label, bd, sd)
-		}
+	sd, sdiags, serr := ReadStream(iotest.OneByteReader(bytes.NewReader(data)), opts)
+	if (berr == nil) != (serr == nil) || (berr != nil && berr.Error() != serr.Error()) {
+		t.Fatalf("error mismatch:\nwhole:    %v\nbytewise: %v", berr, serr)
+	}
+	if !reflect.DeepEqual(bdiags, sdiags) {
+		t.Fatalf("diagnostics mismatch:\nwhole:\n%s\nbytewise:\n%s", diag.Render(bdiags), diag.Render(sdiags))
+	}
+	if !reflect.DeepEqual(bd, sd) {
+		t.Fatalf("design mismatch:\nwhole:    %+v\nbytewise: %+v", bd, sd)
 	}
 }
 
 // TestStreamEquivalenceWritten: a full writer round trip reads back
-// identically through both readers in both modes, with and without lint.
+// identically however the input is chunked, in both modes, with and
+// without lint.
 func TestStreamEquivalenceWritten(t *testing.T) {
 	d := sampleDesign(t)
 	var buf bytes.Buffer
@@ -59,14 +50,12 @@ func TestStreamEquivalenceWritten(t *testing.T) {
 	}
 }
 
-// TestStreamEquivalenceHandwritten pins the diagnostic contract on inputs
-// with semantic damage and structural oddities.
+// TestStreamEquivalenceHandwritten holds inputs with semantic damage and
+// structural oddities to the same diagnostics however they are chunked.
 func TestStreamEquivalenceHandwritten(t *testing.T) {
 	cases := []struct {
-		name    string
-		src     string
-		lenient bool // lenient only (strict order diverges by design)
-		strict  bool // strict only (lenient streaming salvages by design)
+		name string
+		src  string
 	}{
 		{name: "empty", src: ""},
 		{name: "comment-only", src: "; nothing\n"},
@@ -74,7 +63,7 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 		{name: "empty-list", src: "()"},
 		{name: "not-design", src: "(foo bar)"},
 		{name: "design-too-short", src: "(design)"},
-		{name: "two-forms", src: "(design a)(design b)", lenient: true},
+		{name: "two-forms", src: "(design a)(design b)"},
 		{name: "design-bad-name", src: "(design (x))"},
 		{name: "unexpected-atom-item", src: "(design a stray)"},
 		{name: "unexpected-empty-item", src: "(design a ())"},
@@ -83,15 +72,15 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 		{name: "bad-grid", src: `(design a (grid "1/7in"))`},
 		{name: "good-grid", src: `(design a (grid "1/10in"))`},
 		{name: "globals", src: `(design a (globals "VDD" "GND"))`},
-		{name: "bad-global", src: "(design a (globals (x)))", lenient: true},
+		{name: "bad-global", src: "(design a (globals (x)))"},
 		{name: "library-no-name", src: "(design a (library))"},
 		{name: "library-bad-name", src: "(design a (library (x) (symbol s v)))"},
 		{name: "bad-symbol", src: "(design a (library l (frob)))"},
 		{name: "bad-pin", src: "(design a (library l (symbol s v (pin))))"},
-		{name: "dup-symbol", src: "(design a (library l (symbol s v) (symbol s v)))", lenient: true},
+		{name: "dup-symbol", src: "(design a (library l (symbol s v) (symbol s v)))"},
 		{name: "cell-no-name", src: "(design a (cell))"},
 		{name: "cell-bad-name", src: "(design a (cell (x) (port p input)))"},
-		{name: "dup-cell", src: "(design a (cell c) (cell c))", lenient: true},
+		{name: "dup-cell", src: "(design a (cell c) (cell c))"},
 		{name: "bad-cell-item", src: "(design a (cell c stray))"},
 		{name: "unknown-cell-item", src: "(design a (cell c (widget 1)))"},
 		{name: "bad-port", src: "(design a (cell c (port p)))"},
@@ -109,20 +98,13 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 		{name: "bad-label", src: "(design a (cell c (page 1 (size 0 0 9 9) (label))))"},
 		{name: "bad-conn", src: "(design a (cell c (page 1 (size 0 0 9 9) (conn pin))))"},
 		{name: "bad-text", src: "(design a (cell c (page 1 (size 0 0 9 9) (text))))"},
-		{name: "dangling-conn", src: `(design a (cell c (page 1 (size 0 0 9 9) (conn hier-in "p" (at 1 1) (of l s v) (orient R0)))))`, lenient: true},
-		{name: "unbalanced-design", src: "(design a", strict: true},
-		{name: "unbalanced-page", src: "(design a (cell c (page 1 (size 0 0 9 9) (wire (0 0) (1 1))", strict: true},
-		{name: "stray-close", src: ") (design a)", strict: true},
+		{name: "dangling-conn", src: `(design a (cell c (page 1 (size 0 0 9 9) (conn hier-in "p" (at 1 1) (of l s v) (orient R0)))))`},
+		{name: "unbalanced-design", src: "(design a"},
+		{name: "unbalanced-page", src: "(design a (cell c (page 1 (size 0 0 9 9) (wire (0 0) (1 1))"},
+		{name: "stray-close", src: ") (design a)"},
 	}
 	for _, tc := range cases {
-		modes := []diag.Mode{diag.Strict, diag.Lenient}
-		if tc.lenient {
-			modes = modes[1:]
-		}
-		if tc.strict {
-			modes = modes[:1]
-		}
-		for _, mode := range modes {
+		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(t *testing.T) {
 				assertStreamEquiv(t, []byte(tc.src), ReadOptions{Mode: mode})
 			})
@@ -130,40 +112,38 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 	}
 }
 
-// TestStreamRecordResync: on a lexically broken record the buffered
-// reader's toplevel-granular recovery salvages nothing, while the
-// streaming reader resynchronizes at the record boundary and keeps every
-// intact record.
+// TestStreamRecordResync: on a lexically broken record, lenient mode
+// resynchronizes at the record boundary and keeps every intact record,
+// and a stray toplevel close paren costs only the paren — through every
+// entry point, ReadBytes included.
 func TestStreamRecordResync(t *testing.T) {
 	src := `(design a (cell c (page 1 (size 0 0 9 9) (wire (0 0) (4 0)) (label "bad\q" (at 1 1)) (text "ok" (at 2 2)))))`
-	opts := ReadOptions{Mode: diag.Lenient}
-
-	bd, _, berr := ReadBytes([]byte(src), opts)
-	if bd != nil || berr == nil {
-		t.Fatalf("buffered reader unexpectedly salvaged the broken input: d=%v err=%v", bd, berr)
-	}
-
-	sd, sdiags, serr := ReadStream(strings.NewReader(src), opts)
-	if serr != nil {
-		t.Fatalf("streaming read: %v", serr)
-	}
-	pg := sd.Cells["c"].Pages[0]
-	if len(pg.Wires) != 1 || len(pg.Texts) != 1 {
-		t.Errorf("salvage lost records: wires=%d texts=%d", len(pg.Wires), len(pg.Texts))
-	}
-	if diag.Count(sdiags, diag.Error) != 1 {
-		t.Errorf("want exactly one parse diagnostic, got:\n%s", diag.Render(sdiags))
-	}
-
-	// A stray toplevel close paren: the buffered recovery consumes it and
-	// the form after it, losing the design; streaming skips only the paren.
 	stray := ") (design a (cell c))"
-	if bd, _, err := ReadBytes([]byte(stray), opts); bd != nil || err == nil {
-		t.Fatalf("buffered reader unexpectedly salvaged after stray ): d=%v err=%v", bd, err)
-	}
-	sd2, _, err := ReadStream(strings.NewReader(stray), opts)
-	if err != nil || sd2 == nil || sd2.Cells["c"] == nil {
-		t.Errorf("streaming salvage after stray ) failed: d=%v err=%v", sd2, err)
+	opts := ReadOptions{Mode: diag.Lenient}
+	for _, entry := range []struct {
+		name string
+		read func(string) (*schematic.Design, []diag.Diagnostic, error)
+	}{
+		{"ReadBytes", func(s string) (*schematic.Design, []diag.Diagnostic, error) { return ReadBytes([]byte(s), opts) }},
+		{"ReadStream", func(s string) (*schematic.Design, []diag.Diagnostic, error) {
+			return ReadStream(strings.NewReader(s), opts)
+		}},
+	} {
+		d, ds, err := entry.read(src)
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		pg := d.Cells["c"].Pages[0]
+		if len(pg.Wires) != 1 || len(pg.Texts) != 1 {
+			t.Errorf("%s: salvage lost records: wires=%d texts=%d", entry.name, len(pg.Wires), len(pg.Texts))
+		}
+		if diag.Count(ds, diag.Error) != 1 {
+			t.Errorf("%s: want exactly one parse diagnostic, got:\n%s", entry.name, diag.Render(ds))
+		}
+		d2, _, err := entry.read(stray)
+		if err != nil || d2 == nil || d2.Cells["c"] == nil {
+			t.Errorf("%s: salvage after stray ) failed: d=%v err=%v", entry.name, d2, err)
+		}
 	}
 }
 

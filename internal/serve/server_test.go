@@ -368,10 +368,16 @@ func TestRequestDecodeRefusals(t *testing.T) {
 			t.Errorf("log entry %d: status %d, want %d", e.ID, e.Status, cases[i].status)
 		}
 	}
-	// Translate bodies carry no routing-shard knob: "shards" is refused
-	// like any other unknown field.
-	if status, _, raw := postJSON(t, ts.URL+"/v1/translate", `{"shards":4}`); status != http.StatusBadRequest || !strings.Contains(raw, "shards") {
-		t.Errorf("translate with shards: status %d body %q, want 400 naming the field", status, raw)
+	// Neither translate nor check bodies carry a sharding or reader knob:
+	// "shards" and "stream" are refused like any other unknown field.
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/translate", `{"shards":4}`, "shards"},
+		{"/v1/check", `{"files":["a.edf"],"shards":4}`, "shards"},
+		{"/v1/check", `{"files":["a.edf"],"stream":true}`, "stream"},
+	} {
+		if status, _, raw := postJSON(t, ts.URL+c.path, c.body); status != http.StatusBadRequest || !strings.Contains(raw, c.field) {
+			t.Errorf("%s with %s: status %d body %q, want 400 naming the field", c.path, c.field, status, raw)
+		}
 	}
 	// The daemon is still up: a well-formed request is served, and
 	// whitespace after the object is not trailing data.
